@@ -10,6 +10,7 @@ from .certify import (
     DiscretizedPlant,
     PlantModel,
     certify_double_integrator,
+    certify_gain,
     certify_grid,
     closed_loop_matrix,
     network_contraction,
@@ -25,7 +26,6 @@ from .graph import (
     has_spanning_tree,
     is_balanced,
     laplacian,
-    laplacian_disc_radius,
     random_balanced_graph,
     reduced_laplacian,
     reduction_basis,
@@ -63,7 +63,6 @@ from .synthesis import (
     design,
     is_feasible,
     limits,
-    search_design,
     transform_matrix,
 )
 

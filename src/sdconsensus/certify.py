@@ -2,7 +2,9 @@
 
 A gain K with transform T is certified when the largest singular value of
 T^-1 (F(h) - lambda G(h) K) T stays strictly below one over the whole
-(h, lambda) region of interest.  Two certification methods are offered:
+(h, lambda) region of interest.  ``certify_gain`` decides which of the two
+certification methods applies; every command and the simulator go through
+it:
 
 * ``certify_double_integrator`` checks the six closed-form gain
   inequalities plus the sign pattern of the transformed entries at the
@@ -26,8 +28,6 @@ from . import numerics
 from .synthesis import DesignSpec, GainDesign, check_gain_inequalities
 
 __all__ = [
-    "DOUBLE_INTEGRATOR",
-    "GENERAL",
     "PlantModel",
     "DiscretizedPlant",
     "ContractionCertificate",
@@ -35,6 +35,7 @@ __all__ = [
     "transformed_entries",
     "certify_double_integrator",
     "certify_grid",
+    "certify_gain",
     "network_contraction",
 ]
 
@@ -43,6 +44,11 @@ GENERAL = "general"
 
 _DI_A = np.array([[0.0, 1.0], [0.0, 0.0]])
 _DI_B = np.array([[0.0], [1.0]])
+
+# default confirmation grid of the exact certificate (it only feeds the
+# reported worst sample) and default sample grid of the grid certificate
+_CONFIRM_GRID = (64, 64)
+_SAMPLE_GRID = (200, 200)
 
 
 @dataclass(frozen=True)
@@ -233,7 +239,7 @@ def _sign_conditions(spec: DesignSpec, dsn: GainDesign) -> bool:
 def certify_double_integrator(
     spec: DesignSpec,
     dsn: GainDesign,
-    confirm_grid: tuple[int, int] = (64, 64),
+    confirm_grid: tuple[int, int] = _CONFIRM_GRID,
 ) -> ContractionCertificate:
     """Exact-inequality certificate for a double-integrator gain design.
 
@@ -268,13 +274,24 @@ def certify_double_integrator(
     )
 
 
+def _real_interval(lambdas) -> tuple[float, float] | None:
+    """(lo, hi) when ``lambdas`` is a pair of real scalars, else None."""
+    if (
+        isinstance(lambdas, tuple)
+        and len(lambdas) == 2
+        and all(np.isscalar(v) and not np.iscomplexobj(np.asarray(v)) for v in lambdas)
+    ):
+        return float(lambdas[0]), float(lambdas[1])
+    return None
+
+
 def certify_grid(
     plant: PlantModel,
     K,
     T,
     hbar: float,
     lambdas,
-    grid: tuple[int, int] = (200, 200),
+    grid: tuple[int, int] = _SAMPLE_GRID,
     guard: float = 1e-6,
 ) -> ContractionCertificate:
     """Sampled contraction check over (0, hbar] x a lambda set.
@@ -298,15 +315,11 @@ def certify_grid(
     nh, nl = grid
     if nh < 1:
         raise ValueError("grid needs at least one h sample")
-    if (
-        isinstance(lambdas, tuple)
-        and len(lambdas) == 2
-        and all(np.isscalar(v) and not np.iscomplexobj(np.asarray(v)) for v in lambdas)
-    ):
-        lo, hi = float(lambdas[0]), float(lambdas[1])
+    interval = _real_interval(lambdas)
+    if interval is not None:
         if nl < 2:
             raise ValueError("interval lambda sets need at least 2 samples")
-        lam_samples = np.linspace(lo, hi, nl)
+        lam_samples = np.linspace(*interval, nl)
     else:
         lam_samples = np.asarray(list(lambdas), dtype=complex)
         if lam_samples.size == 0:
@@ -324,6 +337,42 @@ def certify_grid(
     else:
         verdict = "inconclusive"
     return ContractionCertificate(verdict, worst, point, "grid-sample", shape, guard)
+
+
+def certify_gain(
+    plant: PlantModel,
+    hbar: float,
+    lambdas,
+    grid: tuple[int, int] | None = None,
+    guard: float = 1e-6,
+    *,
+    design: GainDesign | None = None,
+    gain=None,
+    transform=None,
+) -> ContractionCertificate:
+    """The certificate that decides whether a gain may be used.
+
+    Give either a gain ``design`` or a raw feedback ``gain`` K with its
+    ``transform`` T (the identity when None).  A double-integrator design
+    over a real interval ``lambdas`` = (lo, hi) gets the exact certificate,
+    which covers every (h, lambda) in (0, hbar] x [lo, hi].  Everything
+    else (raw gains, general plants, the explicit eigenvalues of a fixed
+    digraph) gets the grid certificate of K under T.  ``grid`` is the
+    exact certificate's confirmation grid or the grid certificate's sample
+    grid; None keeps the method's default.  ``guard`` only applies to the
+    grid certificate.
+    """
+    if (design is None) == (gain is None):
+        raise ValueError("give exactly one of design or gain")
+    if design is not None:
+        interval = _real_interval(lambdas)
+        if plant.kind == DOUBLE_INTEGRATOR and interval is not None:
+            spec = DesignSpec(hbar, *interval)
+            return certify_double_integrator(spec, design, grid or _CONFIRM_GRID)
+        gain, transform = design.K, design.T
+    if transform is None:
+        transform = np.eye(plant.n)
+    return certify_grid(plant, gain, transform, hbar, lambdas, grid or _SAMPLE_GRID, guard)
 
 
 def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float:

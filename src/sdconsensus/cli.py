@@ -24,19 +24,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .certify import (
-    DOUBLE_INTEGRATOR,
-    ContractionCertificate,
-    PlantModel,
-    certify_double_integrator,
-    certify_grid,
-)
+from .certify import ContractionCertificate, PlantModel, certify_gain
 from .graph import (
+    GraphBandError,
+    UnsupportedGraphError,
     WeightedDigraph,
     consensus_eigenvalues,
     has_spanning_tree,
-    is_balanced,
-    spectrum,
+    pool_band,
 )
 from .sim import (
     SimulationConfig,
@@ -304,8 +299,9 @@ def _build_topology(resolved: dict, base_dir: Path):
     return pool, pool[0].n
 
 
-def _build_gain(resolved: dict):
-    """Returns (design or None, raw K or None, T for certification)."""
+def _build_gain(resolved: dict) -> dict:
+    """The gain as keyword arguments of SimulationConfig and certify_gain:
+    a design, or a raw gain K with its transform T (None for the identity)."""
     if resolved["design"] is not None:
         if resolved["plant"]["kind"] != "double_integrator":
             raise ConfigError(
@@ -317,13 +313,13 @@ def _build_gain(resolved: dict):
             resolved["design"]["lambda2"],
             resolved["design"]["lambdaN"],
         )
-        dsn = design(spec)
-        return dsn, None, dsn.T
+        return {"design": design(spec)}
     if resolved["gain"] is not None:
-        K = np.array(resolved["gain"]["K"])
         T = resolved["gain"]["T"]
-        T = np.eye(K.shape[1]) if T is None else np.array(T)
-        return None, K, T
+        return {
+            "gain": np.array(resolved["gain"]["K"]),
+            "transform": None if T is None else np.array(T),
+        }
     raise ConfigError("config needs a design or gain section")
 
 
@@ -336,20 +332,13 @@ def _certification_band(resolved: dict, base_dir: Path) -> tuple[float, float]:
     if "random" in topo:
         lo, hi = topo["random"]["lambda_band"]
         return lo, hi
-    pool = _load_pool(resolved, base_dir)
-    lows, highs = [], []
-    for i, g in enumerate(pool):
-        if not is_balanced(g):
-            raise ConfigError(
-                f"pool graph {topo['graphs'][i]} is not balanced; band-mode "
-                "certification covers switching topologies only when every "
-                "pool graph is balanced (use certify.mode: fixed for a "
-                "single general digraph)"
-            )
-        summ = spectrum(g)
-        lows.append(summ.lambda2)
-        highs.append(summ.lambdaN)
-    return min(lows), max(highs)
+    try:
+        return pool_band(_load_pool(resolved, base_dir))
+    except UnsupportedGraphError as exc:
+        raise ConfigError(
+            f"topology.graphs: {exc} (use certify.mode: fixed for a single "
+            "general digraph)"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +421,7 @@ def _certify_from_config(args) -> tuple[ContractionCertificate, dict]:
     resolved = resolve_config(load_config(cfg_path))
     base_dir = cfg_path.parent
     plant = _build_plant(resolved)
-    dsn, K, T = _build_gain(resolved)
-    grid = tuple(resolved["certify"]["grid"])
-    guard = resolved["certify"]["guard"]
-    hbar = resolved["sampling"]["hbar"]
+    gain = _build_gain(resolved)
     if resolved["certify"]["mode"] == "fixed":
         topo = resolved["topology"]
         if topo is None or "graphs" not in topo or len(topo["graphs"]) != 1:
@@ -444,16 +430,12 @@ def _certify_from_config(args) -> tuple[ContractionCertificate, dict]:
         if not has_spanning_tree(g):
             raise ConfigError("fixed-mode graph must have a spanning tree")
         lambdas = consensus_eigenvalues(g)
-        gain_matrix = dsn.K if dsn is not None else K
-        cert = certify_grid(plant, gain_matrix, T, hbar, lambdas, grid, guard)
     else:
-        band = _certification_band(resolved, base_dir)
-        if dsn is not None and plant.kind == DOUBLE_INTEGRATOR:
-            spec = DesignSpec(hbar, band[0], band[1])
-            cert = certify_double_integrator(spec, dsn, confirm_grid=grid)
-        else:
-            gain_matrix = dsn.K if dsn is not None else K
-            cert = certify_grid(plant, gain_matrix, T, hbar, band, grid, guard)
+        lambdas = _certification_band(resolved, base_dir)
+    cert = certify_gain(
+        plant, resolved["sampling"]["hbar"], lambdas,
+        tuple(resolved["certify"]["grid"]), resolved["certify"]["guard"], **gain,
+    )
     return cert, {"config_digest": config_digest(resolved)}
 
 
@@ -469,8 +451,10 @@ def cmd_certify(args) -> int:
                 )
                 return EXIT_USAGE
             spec = DesignSpec(args.hbar, args.lambda2, args.lambdaN)
-            dsn = design(spec)
-            cert = certify_double_integrator(spec, dsn)
+            cert = certify_gain(
+                PlantModel.double_integrator(), spec.hbar, (spec.lambda2, spec.lambdaN),
+                design=design(spec),
+            )
             extra = {}
     except (ConfigError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -494,7 +478,7 @@ def cmd_simulate(args) -> int:
         resolved = resolve_config(load_config(cfg_path))
         base_dir = cfg_path.parent
         plant = _build_plant(resolved)
-        dsn, K, _ = _build_gain(resolved)
+        gain = _build_gain(resolved)
         topology, n_agents = _build_topology(resolved, base_dir)
         config = SimulationConfig(
             n_agents=n_agents,
@@ -506,10 +490,9 @@ def cmd_simulate(args) -> int:
             runs=resolved["batch"]["runs"],
             seed=resolved["batch"]["seed"],
             topology=topology,
-            design=dsn,
-            gain=K,
             init_bounds=tuple(tuple(b) for b in resolved["init"]["bounds"]),
             record_states=resolved["output"]["full_state"],
+            **gain,
         )
     except (ConfigError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -518,9 +501,12 @@ def cmd_simulate(args) -> int:
         result = run(config, force=args.force)
     except UncertifiedGainError as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        if exc.certificate is not None and args.report is not None:
+        if args.report is not None:
             _write_report(args.report, exc.certificate)
         return EXIT_UNCERTIFIED
+    except GraphBandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out is not None else Path(resolved["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -585,26 +571,28 @@ def cmd_sweep(args) -> int:
         if (args.mu1 is None) != (args.mu2 is None):
             raise ConfigError("give both --mu1 and --mu2 or neither")
         grid = (int(args.grid[0]), int(args.grid[1]))
+        if min(grid) < 1:
+            raise ConfigError("grid needs at least one sample per axis")
+        cells = []
+        for hbar in hbars:
+            for ratio in ratios:
+                spec = DesignSpec(float(hbar), args.lambda2, args.lambda2 * float(ratio))
+                dsn = design(spec)
+                mu = (dsn.mu1, dsn.mu2) if args.mu1 is None else (args.mu1, args.mu2)
+                cells.append((ratio, spec, dsn, is_feasible(spec, *mu)))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    plant = PlantModel.double_integrator()
     lines = ["hbar,ratio,lambda2,lambdaN,feasible,k1,k2,K1,K2,verdict,margin"]
-    for hbar in hbars:
-        for ratio in ratios:
-            spec = DesignSpec(float(hbar), args.lambda2, args.lambda2 * float(ratio))
-            if args.mu1 is not None:
-                feasible = is_feasible(spec, args.mu1, args.mu2)
-            else:
-                feasible = is_feasible(spec, spec.hbar / 2.0,
-                                       -spec.hbar / 2.0 + 2.0 * spec.hbar * ratio + 1.0)
-            dsn = design(spec)
-            cert = certify_double_integrator(spec, dsn, confirm_grid=grid)
-            lines.append(
-                f"{_fmt(hbar)},{_fmt(ratio)},{_fmt(spec.lambda2)},{_fmt(spec.lambdaN)},"
-                f"{int(feasible)},{_fmt(dsn.k1)},{_fmt(dsn.k2)},"
-                f"{_fmt(dsn.K[0, 0])},{_fmt(dsn.K[0, 1])},{cert.verdict},{_fmt(cert.margin)}"
-            )
+    for ratio, spec, dsn, feasible in cells:
+        cert = certify_gain(plant, spec.hbar, (spec.lambda2, spec.lambdaN), grid, design=dsn)
+        lines.append(
+            f"{_fmt(spec.hbar)},{_fmt(ratio)},{_fmt(spec.lambda2)},{_fmt(spec.lambdaN)},"
+            f"{int(feasible)},{_fmt(dsn.k1)},{_fmt(dsn.k2)},"
+            f"{_fmt(dsn.K[0, 0])},{_fmt(dsn.K[0, 1])},{cert.verdict},{_fmt(cert.margin)}"
+        )
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

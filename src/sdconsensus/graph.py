@@ -23,7 +23,6 @@ __all__ = [
     "is_balanced",
     "has_spanning_tree",
     "spectrum",
-    "laplacian_disc_radius",
     "reduction_basis",
     "reduced_laplacian",
     "consensus_eigenvalues",
@@ -163,35 +162,42 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
     return any(_reaches_all(send, root) for root in range(g.n))
 
 
-def laplacian_disc_radius(g: WeightedDigraph) -> float:
-    """Radius bound 2 * max in-degree covering all Laplacian eigenvalues.
-
-    This is the only spectral statement available for general digraphs; use
-    ``spectrum`` for exact values on balanced graphs.
-    """
-    return float(2.0 * g.in_degrees().max(initial=0.0))
-
-
 def spectrum(g: WeightedDigraph, tol: float = 1e-12) -> SpectrumSummary:
     """Exact Laplacian spectrum of a balanced graph, sorted ascending.
 
     lambda2 is positive exactly when the graph is connected.  Tiny negative
     eigenvalues from rounding are clamped to zero (the balanced Laplacian is
     positive semidefinite).  Raises UnsupportedGraphError for non-balanced
-    graphs, whose spectra are complex; see ``laplacian_disc_radius`` for the
-    bound that remains available there.
+    graphs, whose spectra are complex.
     """
     if g.n < 2:
         raise ValueError("spectrum needs at least two nodes")
     if not is_balanced(g, tol):
-        raise UnsupportedGraphError(
-            "exact spectrum requires a balanced graph; only "
-            "laplacian_disc_radius is available for general digraphs"
-        )
+        raise UnsupportedGraphError("exact spectrum requires a balanced graph")
     ev = np.linalg.eigvalsh(laplacian(g))
     ev = np.where((ev < 0.0) & (ev > -1e-10), 0.0, ev)
     ev.setflags(write=False)
     return SpectrumSummary(ev, float(ev[1]), float(ev[-1]))
+
+
+def pool_band(pool) -> tuple[float, float]:
+    """Smallest lambda2 and largest lambdaN over a pool of balanced graphs.
+
+    This is the eigenvalue interval a certificate must cover for the pool
+    to switch freely.  Raises UnsupportedGraphError, naming the graph by its
+    position in the pool, when a graph is not balanced.
+    """
+    lows, highs = [], []
+    for i, g in enumerate(pool):
+        if not is_balanced(g):
+            raise UnsupportedGraphError(
+                f"pool graph {i} is not balanced; band certification covers "
+                "switching topologies only when every pool graph is balanced"
+            )
+        summ = spectrum(g)
+        lows.append(summ.lambda2)
+        highs.append(summ.lambdaN)
+    return min(lows), max(highs)
 
 
 def reduction_basis(n: int) -> ReductionBasis:

@@ -19,24 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (
-    DOUBLE_INTEGRATOR,
-    ContractionCertificate,
-    PlantModel,
-    certify_double_integrator,
-    certify_grid,
-)
+from .certify import ContractionCertificate, PlantModel, certify_gain
 from .graph import (
     ReductionBasis,
     WeightedDigraph,
     has_spanning_tree,
     is_balanced,
     laplacian,
+    pool_band,
     random_balanced_graph,
     reduction_basis,
-    spectrum,
 )
-from .synthesis import DesignSpec, GainDesign
+from .synthesis import GainDesign
 
 __all__ = [
     "TopologyRecipe",
@@ -58,11 +52,10 @@ DEFAULT_INIT_BOUNDS = ((-10.0, 10.0), (-1.0, 1.0))
 class UncertifiedGainError(RuntimeError):
     """Refusal to simulate with a gain that did not certify.
 
-    Carries the certificate (or None when no transform was available to
-    attempt certification).  Pass ``force=True`` to run regardless.
+    Carries the certificate.  Pass ``force=True`` to run regardless.
     """
 
-    def __init__(self, message: str, certificate: ContractionCertificate | None):
+    def __init__(self, message: str, certificate: ContractionCertificate):
         super().__init__(message)
         self.certificate = certificate
 
@@ -91,10 +84,12 @@ class TopologyRecipe:
 class SimulationConfig:
     """Complete description of one reproducible batch experiment.
 
-    Exactly one of ``design`` (a synthesized gain bundle, certifiable) or
-    ``gain`` (a raw feedback row, treated as uncertified) must be given.
-    ``topology`` is either an explicit pool of balanced spanning-tree graphs
-    or a TopologyRecipe.  All randomness derives from ``seed``.
+    Exactly one of ``design`` (a synthesized gain bundle) or ``gain`` (a raw
+    feedback matrix) must be given.  ``transform`` is the raw gain's
+    similarity transform T (the identity when None); it enters the
+    certificate and the reduced norm.  ``topology`` is either an explicit
+    pool of balanced spanning-tree graphs or a TopologyRecipe.  All
+    randomness derives from ``seed``.
     """
 
     n_agents: int
@@ -106,6 +101,7 @@ class SimulationConfig:
     topology: object
     design: GainDesign | None = None
     gain: np.ndarray | None = None
+    transform: np.ndarray | None = None
     h_min: float | None = None
     switch_period: int | None = 50
     init_bounds: tuple = DEFAULT_INIT_BOUNDS
@@ -113,8 +109,8 @@ class SimulationConfig:
     verify_step_forms: bool = False
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ValueError("need at least one agent")
+        if self.n_agents < 2:
+            raise ValueError("consensus needs at least two agents")
         if self.steps < 1 or self.runs < 1:
             raise ValueError("steps and runs must be at least 1")
         if not (math.isfinite(self.hbar) and self.hbar > 0.0):
@@ -131,6 +127,15 @@ class SimulationConfig:
                 raise ValueError(
                     f"gain must be {self.plant.m}x{self.plant.n}, got {self.gain.shape}"
                 )
+            if self.transform is None:
+                self.transform = np.eye(self.plant.n)
+            self.transform = np.asarray(self.transform, dtype=float)
+            if self.transform.shape != (self.plant.n, self.plant.n):
+                raise ValueError(f"transform must be {self.plant.n}x{self.plant.n}")
+            if abs(np.linalg.det(self.transform)) < 1e-300:
+                raise ValueError("transform must be invertible")
+        elif self.transform is not None:
+            raise ValueError("transform goes with a raw gain; a design carries its own")
         if self.design is not None and self.design.K.shape != (self.plant.m, self.plant.n):
             raise ValueError("design gain shape does not match the plant")
         if self.switch_period is not None and self.switch_period < 1:
@@ -268,32 +273,7 @@ def _materialize_pool(config: SimulationConfig, pool_seed) -> tuple[list, tuple[
         ]
         return pool, (recipe.lambda_lo, recipe.lambda_hi)
     pool = list(config.topology)
-    lows = []
-    highs = []
-    for g in pool:
-        summ = spectrum(g)
-        lows.append(summ.lambda2)
-        highs.append(summ.lambdaN)
-    return pool, (min(lows), max(highs))
-
-
-def _certificate(config: SimulationConfig, band: tuple[float, float]):
-    lo, hi = band
-    if config.design is not None:
-        K, T = config.design.K, config.design.T
-        if config.plant.kind == DOUBLE_INTEGRATOR:
-            spec = DesignSpec(config.hbar, lo, hi)
-            cert = certify_double_integrator(spec, config.design)
-        else:
-            cert = certify_grid(config.plant, K, T, config.hbar, (lo, hi))
-        return K, T, cert
-    # raw gain: no transform accompanies it, so certification is attempted
-    # with the identity, which documents why the gain is treated as
-    # uncertified rather than silently trusting it
-    K = config.gain
-    T = np.eye(config.plant.n)
-    cert = certify_grid(config.plant, K, T, config.hbar, (lo, hi), grid=(50, 50))
-    return K, T, cert
+    return pool, pool_band(pool)
 
 
 def run(config: SimulationConfig, force: bool = False) -> BatchResult:
@@ -306,14 +286,21 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     master = np.random.SeedSequence(config.seed)
     pool_seed, *run_seeds = master.spawn(config.runs + 1)
     pool, band = _materialize_pool(config, pool_seed)
-    K, T, cert = _certificate(config, band)
+    cert = certify_gain(
+        config.plant, config.hbar, band,
+        design=config.design, gain=config.gain, transform=config.transform,
+    )
     if cert.verdict != "certified" and not force:
         raise UncertifiedGainError(
             f"gain is not certified for band {band} up to hbar={config.hbar} "
             f"(verdict: {cert.verdict}); pass force=True to simulate anyway",
             cert,
         )
-    basis = reduction_basis(config.n_agents) if config.n_agents >= 2 else None
+    if config.design is not None:
+        K, T = config.design.K, config.design.T
+    else:
+        K, T = config.gain, config.transform
+    basis = reduction_basis(config.n_agents)
     lows = np.array([lo for lo, _ in config.init_bounds])
     highs = np.array([hi for _, hi in config.init_bounds])
     n_states = config.plant.n
@@ -331,8 +318,8 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             if config.record_states
             else None
         )
-        delta[0] = disagreement(X) if config.n_agents >= 2 else 0.0
-        nu[0] = reduced_norm(X, basis, T) if basis is not None else 0.0
+        delta[0] = disagreement(X)
+        nu[0] = reduced_norm(X, basis, T)
         if states is not None:
             states[0] = X
         gap = 0.0
@@ -349,8 +336,8 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             t[k + 1] = t[k] + h
             h_log[k] = h
             topo_log[k] = topo_idx
-            delta[k + 1] = disagreement(X) if config.n_agents >= 2 else 0.0
-            nu[k + 1] = reduced_norm(X, basis, T) if basis is not None else 0.0
+            delta[k + 1] = disagreement(X)
+            nu[k + 1] = reduced_norm(X, basis, T)
             if states is not None:
                 states[k + 1] = X
         records.append(

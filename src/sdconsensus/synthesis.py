@@ -27,7 +27,6 @@ __all__ = [
     "consistency_witness",
     "design",
     "check_gain_inequalities",
-    "search_design",
 ]
 
 
@@ -211,44 +210,3 @@ def check_gain_inequalities(spec: DesignSpec, dsn: GainDesign) -> bool:
         and lim.c < k2 < lim.b
         and 0.0 < k2 - k1 < lim.d
     )
-
-
-def search_design(
-    spec: DesignSpec,
-    mu1_points: int = 24,
-    mu2_factors: int = 24,
-) -> GainDesign:
-    """Exhaustive grid search over (mu1, mu2) maximizing inequality slack.
-
-    Study tool, not the default design path.  mu1 ranges over (0, hbar],
-    mu2 over multiples of the minimum feasible sum.  The winner maximizes
-    the smallest relative slack among the six inequalities for gains placed
-    by the consistency witness.
-    """
-    best = None
-    best_slack = -math.inf
-    ratio = spec.lambdaN / spec.lambda2
-    for mu1 in np.linspace(spec.hbar / mu1_points, spec.hbar, mu1_points):
-        min_sum = (spec.hbar + max(spec.hbar, 2.0 * mu1)) * ratio
-        for factor in np.linspace(1.05, 4.0, mu2_factors):
-            mu2 = factor * min_sum - mu1
-            if mu2 <= mu1:
-                continue
-            lim = limits(spec, mu1, mu2)
-            if not abstract_consistency(lim.a, lim.b, lim.c, lim.d):
-                continue
-            k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
-            slack = min(
-                k1 / lim.a,
-                1.0 - k1 / lim.a,
-                (k2 - lim.c) / (lim.b - lim.c),
-                (lim.b - k2) / (lim.b - lim.c),
-                (k2 - k1) / lim.d,
-                1.0 - (k2 - k1) / lim.d,
-            )
-            if slack > best_slack:
-                best_slack = slack
-                best = _assemble(mu1, mu2, k1, k2)
-    if best is None:
-        raise RuntimeError("search found no feasible transform parameters")
-    return best

@@ -221,11 +221,21 @@ def test_simulate_full_state_dump(tmp_path):
 
 
 def test_simulate_bad_config_exits_usage(tmp_path, capsys):
-    cfg = sim_config_dict()
-    cfg["unknown_section"] = {}
-    path = write_yaml(tmp_path / "cfg.yaml", cfg)
-    rc = cli.main(["simulate", "--config", path])
-    assert rc == cli.EXIT_USAGE
+    unknown = sim_config_dict()
+    unknown["unknown_section"] = {}
+    one_agent = sim_config_dict(
+        topology={"random": {"agents": 1, "lambda_band": [0.3, 6.0]}}
+    )
+    # no 12-node graph has a spectral ratio as small as the band's
+    no_graph_fits = sim_config_dict(
+        topology={"random": {"agents": 12, "lambda_band": [1.0, 1.0001]}}
+    )
+    for name, cfg in (("unknown", unknown), ("one_agent", one_agent),
+                      ("no_graph_fits", no_graph_fits)):
+        path = write_yaml(tmp_path / f"{name}.yaml", cfg)
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
+        assert rc == cli.EXIT_USAGE, name
+        assert capsys.readouterr().err.startswith("error: "), name
 
 
 def test_simulate_with_graph_file_pool(tmp_path):
@@ -254,6 +264,40 @@ def test_simulate_design_needs_double_integrator(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", path])
     assert rc == cli.EXIT_USAGE
     assert "double-integrator" in capsys.readouterr().err
+
+
+RAW_GAIN = {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]}
+
+
+@pytest.mark.parametrize(
+    "overrides, certified",
+    [
+        ({}, True),  # example1 design
+        ({"gain": RAW_GAIN}, True),  # the README raw-gain example
+        ({"gain": {"K": RAW_GAIN["K"]}}, False),  # same K under the identity
+        ({"gain": {"K": [[0.0, 0.0]]}}, False),
+        (
+            {
+                "plant": {"kind": "general", "A": [[0.0]], "B": [[1.0]]},
+                "gain": {"K": [[0.5]]},
+                "sampling": {"hbar": 0.5},
+                "topology": {"random": {"agents": 4, "lambda_band": [0.5, 2.0]}},
+                "init": {"bounds": [[-10.0, 10.0]]},
+            },
+            True,
+        ),
+    ],
+    ids=["design", "raw-gain-with-T", "raw-gain-without-T", "zero-gain", "single-integrator"],
+)
+def test_simulate_refuses_exactly_when_certify_does_not_certify(tmp_path, overrides, certified):
+    cfg = sim_config_dict(**overrides)
+    if "gain" in overrides:
+        del cfg["design"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    rc_certify = cli.main(["certify", "--config", path])
+    rc_simulate = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    assert (rc_certify == cli.EXIT_OK) == certified
+    assert rc_simulate == (cli.EXIT_OK if certified else cli.EXIT_UNCERTIFIED)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +365,16 @@ def test_sweep_rejects_empty_grid(capsys):
     rc = cli.main(["sweep", "--hbar-axis", "1", "2", "3", "--ratio-axis", "1", "2", "3",
                    "--mu1", "1.0"])
     assert rc == cli.EXIT_USAGE
+    axes = ["--hbar-axis", "1", "2", "3", "--ratio-axis", "1", "2", "3"]
+    for bad in (
+        ["--hbar-axis", "0", "1", "2", "--ratio-axis", "1", "2", "3"],
+        axes + ["--lambda2", "-1"],
+        axes + ["--grid", "0", "5"],
+        axes + ["--mu1", "5", "--mu2", "1"],
+    ):
+        capsys.readouterr()
+        assert cli.main(["sweep", *bad]) == cli.EXIT_USAGE, bad
+        assert capsys.readouterr().err.startswith("error: "), bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,38 @@
+import importlib
+import inspect
+
+import pytest
+
+import sdconsensus
+
+MODULES = ["numerics", "graph", "synthesis", "certify", "sim"]
+
+
+def module_exports(name):
+    module = importlib.import_module(f"sdconsensus.{name}")
+    return module, module.__all__
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_are_package_exports(name):
+    module, exported = module_exports(name)
+    for attr in exported:
+        assert hasattr(module, attr), attr
+        assert getattr(sdconsensus, attr) is getattr(module, attr), attr
+
+
+def test_package_exports_nothing_outside_module_all():
+    declared = {attr for name in MODULES for attr in module_exports(name)[1]}
+    public = {
+        attr
+        for attr, value in vars(sdconsensus).items()
+        if not attr.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == declared
+
+
+@pytest.mark.parametrize("attr", ["search_design", "laplacian_disc_radius"])
+def test_removed_study_api_is_gone(attr):
+    assert not hasattr(sdconsensus, attr)
+    for name in MODULES:
+        assert not hasattr(module_exports(name)[0], attr)

@@ -9,7 +9,6 @@ from sdconsensus.graph import (
     has_spanning_tree,
     is_balanced,
     laplacian,
-    laplacian_disc_radius,
     random_balanced_graph,
     reduced_laplacian,
     reduction_basis,
@@ -166,14 +165,9 @@ def test_spectrum_inside_gershgorin_disc():
     for _ in range(50):
         g = random_symmetric(rng, 6, 0.5)
         summ = spectrum(g)
-        radius = laplacian_disc_radius(g)
+        radius = 2.0 * g.in_degrees().max()
         d_max = radius / 2.0
         assert np.all(np.abs(summ.eigenvalues - d_max) <= d_max + 1e-10)
-
-
-def test_laplacian_disc_radius_value():
-    g = WeightedDigraph.from_edges(3, [(0, 1, 2.0), (0, 2, 1.5), (1, 2, 1.0)])
-    assert laplacian_disc_radius(g) == 7.0
 
 
 # ---------------------------------------------------------------------------

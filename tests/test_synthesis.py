@@ -12,7 +12,6 @@ from sdconsensus.synthesis import (
     design,
     is_feasible,
     limits,
-    search_design,
     transform_matrix,
 )
 
@@ -275,13 +274,3 @@ def test_gain_design_validation():
     with pytest.raises(ValueError):
         GainDesign(1.0, 3.0, 0.1, 0.2, np.eye(2), np.array([[0.1, 0.2]]))
 
-
-def test_search_design_returns_valid_design(example1_spec):
-    dsn = search_design(example1_spec, mu1_points=8, mu2_factors=8)
-    assert check_gain_inequalities(example1_spec, dsn)
-
-
-def test_search_design_handles_thin_margin_spec():
-    spec = DesignSpec(10.0, 1.0, 10.0)
-    dsn = search_design(spec, mu1_points=8, mu2_factors=8)
-    assert check_gain_inequalities(spec, dsn)
