@@ -112,6 +112,27 @@ class PlantModel:
             G = numerics.expm_integral(self.A, self.B, h)
         return DiscretizedPlant(F, G, h)
 
+    def discretize_many(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked ``discretize``: (F, G) for every interval of the array ``h``.
+
+        Returns arrays of shape h.shape + (n, n) and h.shape + (n, m) with
+        the same values as one ``discretize`` call per interval; the double
+        integrator evaluates its closed form on the whole array at once.
+        """
+        h = np.asarray(h, dtype=float)
+        if not (np.all(np.isfinite(h)) and np.all(h >= 0.0)):
+            raise ValueError("h must be finite and nonnegative")
+        if self.kind == DOUBLE_INTEGRATOR:
+            F = np.zeros(h.shape + (2, 2))
+            F[..., 0, 0] = F[..., 1, 1] = 1.0
+            F[..., 0, 1] = h
+            G = np.stack([0.5 * h * h, h], axis=-1)[..., None]
+            return F, G
+        pairs = [self.discretize(v) for v in h.ravel()]
+        F = np.array([p.F for p in pairs]).reshape(h.shape + (self.n, self.n))
+        G = np.array([p.G for p in pairs]).reshape(h.shape + (self.n, self.m))
+        return F, G
+
 
 @dataclass(frozen=True)
 class DiscretizedPlant:

@@ -351,23 +351,22 @@ def write_trajectories_csv(path, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("run,k,t,h,topology,delta,nu\n")
         for rec in records:
-            steps = len(rec.h)
-            for k in range(steps):
-                f.write(
-                    f"{rec.run_id},{k},{_fmt(rec.t[k])},{_fmt(rec.h[k])},"
-                    f"{int(rec.topology[k])},{_fmt(rec.delta[k])},{_fmt(rec.nu[k])}\n"
-                )
-            f.write(
-                f"{rec.run_id},{steps},{_fmt(rec.t[steps])},,,"
-                f"{_fmt(rec.delta[steps])},{_fmt(rec.nu[steps])}\n"
+            run = rec.run_id
+            t, h, topo, delta, nu = (
+                a.tolist() for a in (rec.t, rec.h, rec.topology, rec.delta, rec.nu)
             )
+            f.writelines(
+                f"{run},{k},{tk!r},{hk!r},{g},{d!r},{v!r}\n"
+                for k, tk, hk, g, d, v in zip(range(len(h)), t, h, topo, delta, nu)
+            )
+            f.write(f"{run},{len(h)},{t[-1]!r},,,{delta[-1]!r},{nu[-1]!r}\n")
 
 
 def write_aggregate_csv(path, aggregate) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("k,delta_max\n")
-        for k, v in enumerate(aggregate):
-            f.write(f"{k},{_fmt(v)}\n")
+        values = np.asarray(aggregate, dtype=float).tolist()
+        f.writelines(f"{k},{v!r}\n" for k, v in enumerate(values))
 
 
 def write_states_csv(path, records) -> None:
@@ -376,10 +375,11 @@ def write_states_csv(path, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"run,k,agent,{cols}\n")
         for rec in records:
-            for k in range(rec.states.shape[0]):
-                for agent in range(rec.states.shape[1]):
-                    vals = ",".join(_fmt(v) for v in rec.states[k, agent])
-                    f.write(f"{rec.run_id},{k},{agent},{vals}\n")
+            for k, frame in enumerate(rec.states.tolist()):
+                f.writelines(
+                    f"{rec.run_id},{k},{agent},{','.join(map(repr, row))}\n"
+                    for agent, row in enumerate(frame)
+                )
 
 
 def _write_report(path, cert: ContractionCertificate, extra: dict | None = None) -> None:

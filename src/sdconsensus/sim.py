@@ -2,14 +2,26 @@
 
 Each run draws random sampling intervals, switches the active topology at a
 fixed step period, and advances all agents with the exact zero-order-hold
-step.  The per-step state update is the neighbor-difference form
+step
 
-    x_i+ = F(h) x_i + G(h) K sum_j w_ij (x_j - x_i)
+    x_i+ = F(h) x_i + G(h) K sum_j w_ij (x_j - x_i).
 
-which agrees with the Kronecker-assembled form to rounding and keeps exact
-agreement invariant (identical agents produce an exactly zero coupling
-term).  Every trajectory records the disagreement metric and the transformed
-reduced norm whose strict decrease is the certified contraction at work.
+The runs of a batch advance together as one (runs, n, s) state array.  Every
+run first draws its whole stream (initial state, topology choices, sampling
+intervals) from its own generator, so results do not depend on how runs are
+batched.  Between two switches, the runs that share a topology form one
+stacked system: each step takes Y = X - x_0 (differences to agent 0) and the
+coupling W Y - deg Y, which is shift-invariant, so exact agreement gives an
+exactly zero coupling and stays exact.  ``step`` is the same kernel with one
+run.  The optional cross-check applies the Kronecker-assembled map
+I kron F - L kron G K, built from kron(I, E_ab) and kron(L, E_ab) once per
+topology and switching segment rather than once per step.
+
+Every trajectory records the disagreement metric and the transformed reduced
+norm, whose strict decrease is the certified contraction at work.  The norm
+uses the centered form ||(Y - mean Y) T^-T||, which equals
+||(mbar^T kron T^-1) x|| because the Helmert basis gives
+mbar mbar^T = I - 11^T / n.
 """
 
 from __future__ import annotations
@@ -28,7 +40,6 @@ from .graph import (
     laplacian,
     pool_band,
     random_balanced_graph,
-    reduction_basis,
 )
 from .synthesis import GainDesign
 
@@ -193,6 +204,58 @@ class BatchResult:
     band: tuple[float, float]
 
 
+def _advance(X, W, deg, F, GK):
+    """One exact step of the runs ``X`` (runs, n, s) that share topology W.
+
+    ``deg`` holds the row sums of W; ``F`` and ``GK`` (runs, s, s) are each
+    run's F(h) and G(h) K.  The coupling sum_j w_ij (x_j - x_i) is formed as
+    W Y - deg Y on the differences Y to agent 0.
+    """
+    Y = X - X[:, :1]
+    coupling = np.tensordot(W, Y, axes=(1, 1)).transpose(1, 0, 2) - deg[:, None] * Y
+    return X @ F.transpose(0, 2, 1) + coupling @ GK.transpose(0, 2, 1)
+
+
+def _kron_columns(M, s: int) -> np.ndarray:
+    """kron(M, E_ab)^T for the s x s unit matrices E_ab, side by side.
+
+    Block c = a s + b of the result holds kron(M, E_ab)^T, so that
+    ``x @ result`` stacks kron(M, E_ab) x for every (a, b).
+    """
+    size = M.shape[0] * s
+    out = np.empty((size, s * s * size))
+    for c, unit in enumerate(np.eye(s * s).reshape(s * s, s, s)):
+        out[:, c * size:(c + 1) * size] = np.kron(M, unit).T
+    return out
+
+
+def _advance_kronecker(X, eye_cols, lap_cols, F, GK):
+    """The step of ``_advance`` as (I kron F - L kron G K) on each stacked state.
+
+    ``eye_cols`` and ``lap_cols`` are ``_kron_columns`` of the identity and
+    of the Laplacian L; each run's map is the sum over (a, b) of
+    F_ab kron(I, E_ab) - (G K)_ab kron(L, E_ab).
+    """
+    runs, n, s = X.shape
+    x = X.reshape(runs, n * s)
+    eye_parts = (x @ eye_cols).reshape(runs, s * s, n * s)
+    lap_parts = (x @ lap_cols).reshape(runs, s * s, n * s)
+    out = F.reshape(runs, 1, s * s) @ eye_parts - GK.reshape(runs, 1, s * s) @ lap_parts
+    return out.reshape(X.shape)
+
+
+def _disagreements(X) -> np.ndarray:
+    """Largest state difference over agent pairs and components, per run."""
+    return (X.max(axis=1) - X.min(axis=1)).max(axis=1)
+
+
+def _reduced_norms(X, Tinv) -> np.ndarray:
+    """||(mbar^T kron T^-1) x|| per run, as ||(Y - mean Y) T^-T|| with Y = X - x_0."""
+    Y = X - X[:, :1]
+    Z = (Y - Y.mean(axis=1, keepdims=True)) @ Tinv.T
+    return np.sqrt(np.einsum("rns,rns->r", Z, Z))
+
+
 def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     """Advance every agent by one exact sampled-data step.
 
@@ -208,9 +271,8 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     if not h > 0.0:
         raise ValueError("h must be positive")
     dp = plant.discretize(h)
-    diffs = X[None, :, :] - X[:, None, :]
-    coupling = np.einsum("ij,ijk->ik", g.weights, diffs)
-    return X @ dp.F.T + coupling @ (dp.G @ K).T
+    W = g.weights
+    return _advance(X[None], W, W.sum(axis=1), dp.F[None], (dp.G @ K)[None])[0]
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -221,8 +283,9 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     X = np.asarray(state, dtype=float)
     K = np.asarray(K, dtype=float)
     dp = plant.discretize(h)
-    phi = np.kron(np.eye(g.n), dp.F) - np.kron(laplacian(g), dp.G @ K)
-    return (phi @ X.reshape(-1)).reshape(X.shape)
+    eye_cols = _kron_columns(np.eye(g.n), plant.n)
+    lap_cols = _kron_columns(laplacian(g), plant.n)
+    return _advance_kronecker(X[None], eye_cols, lap_cols, dp.F[None], (dp.G @ K)[None])[0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:
@@ -237,7 +300,7 @@ def disagreement(state) -> float:
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("disagreement needs at least two agents")
-    return float((X.max(axis=0) - X.min(axis=0)).max())
+    return float(_disagreements(X[None])[0])
 
 
 def reduced_norm(state, basis: ReductionBasis, T) -> float:
@@ -251,8 +314,7 @@ def reduced_norm(state, basis: ReductionBasis, T) -> float:
     if X.ndim != 2 or X.shape[0] != basis.n:
         raise ValueError(f"state must have {basis.n} rows, got {X.shape}")
     Tinv = np.linalg.inv(np.asarray(T, dtype=float))
-    xi = basis.mbar.T @ X
-    return float(np.linalg.norm(xi @ Tinv.T))
+    return float(_reduced_norms(X[None], Tinv)[0])
 
 
 def _materialize_pool(config: SimulationConfig, pool_seed) -> tuple[list, tuple[float, float]]:
@@ -274,6 +336,32 @@ def _materialize_pool(config: SimulationConfig, pool_seed) -> tuple[list, tuple[
         return pool, (recipe.lambda_lo, recipe.lambda_hi)
     pool = list(config.topology)
     return pool, pool_band(pool)
+
+
+def _draw_streams(config: SimulationConfig, run_seeds, pool_size: int):
+    """Initial states, sampling intervals and topology indices of every run.
+
+    Each run draws from its own generator: its initial state, then for each
+    switching segment the topology index (when switching) followed by the
+    segment's intervals.  A vector draw gives the values of the same number
+    of scalar draws, so the streams equal those of step-by-step drawing.
+    """
+    lows = np.array([lo for lo, _ in config.init_bounds])
+    highs = np.array([hi for _, hi in config.init_bounds])
+    runs, steps = config.runs, config.steps
+    X = np.empty((runs, config.n_agents, config.plant.n))
+    h = np.empty((runs, steps))
+    topology = np.zeros((runs, steps), dtype=int)
+    period = config.switch_period or steps
+    for r, seed in enumerate(run_seeds):
+        rng = np.random.default_rng(seed)
+        X[r] = rng.uniform(lows, highs, size=X.shape[1:])
+        for start in range(0, steps, period):
+            stop = min(start + period, steps)
+            if config.switch_period is not None:
+                topology[r, start:stop] = rng.integers(pool_size)
+            h[r, start:stop] = rng.uniform(config.h_min, config.hbar, size=stop - start)
+    return X, h, topology
 
 
 def run(config: SimulationConfig, force: bool = False) -> BatchResult:
@@ -300,48 +388,53 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
         K, T = config.design.K, config.design.T
     else:
         K, T = config.gain, config.transform
-    basis = reduction_basis(config.n_agents)
-    lows = np.array([lo for lo, _ in config.init_bounds])
-    highs = np.array([hi for _, hi in config.init_bounds])
+    Tinv = np.linalg.inv(T)
+    X, h, topology = _draw_streams(config, run_seeds, len(pool))
+    runs, steps = h.shape
     n_states = config.plant.n
-    records = []
-    for run_id, seed in enumerate(run_seeds):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(lows, highs, size=(config.n_agents, n_states))
-        t = np.zeros(config.steps + 1)
-        h_log = np.zeros(config.steps)
-        topo_log = np.zeros(config.steps, dtype=int)
-        delta = np.zeros(config.steps + 1)
-        nu = np.zeros(config.steps + 1)
-        states = (
-            np.zeros((config.steps + 1, config.n_agents, n_states))
-            if config.record_states
-            else None
+    t = np.zeros((runs, steps + 1))
+    np.cumsum(h, axis=1, out=t[:, 1:])
+    delta = np.empty((runs, steps + 1))
+    nu = np.empty((runs, steps + 1))
+    delta[:, 0] = _disagreements(X)
+    nu[:, 0] = _reduced_norms(X, Tinv)
+    states = None
+    if config.record_states:
+        states = np.empty((runs, steps + 1) + X.shape[1:])
+        states[:, 0] = X
+    gap = np.zeros(runs)
+    verify = config.verify_step_forms
+    eye_cols = _kron_columns(np.eye(config.n_agents), n_states) if verify else None
+    period = config.switch_period or steps
+    for start in range(0, steps, period):
+        stop = min(start + period, steps)
+        active = topology[:, start]
+        # runs sharing a topology for the whole segment advance as one stack
+        for g in np.unique(active):
+            idx = np.flatnonzero(active == g)
+            W = pool[g].weights
+            deg = W.sum(axis=1)
+            F, G = config.plant.discretize_many(h[idx, start:stop].T)
+            GK = G @ K
+            if verify:
+                lap_cols = _kron_columns(laplacian(pool[g]), n_states)
+            Xg = X[idx]
+            for j, k in enumerate(range(start + 1, stop + 1)):
+                X_next = _advance(Xg, W, deg, F[j], GK[j])
+                if verify:
+                    other = _advance_kronecker(Xg, eye_cols, lap_cols, F[j], GK[j])
+                    gap[idx] = np.maximum(gap[idx], np.abs(X_next - other).max(axis=(1, 2)))
+                Xg = X_next
+                delta[idx, k] = _disagreements(Xg)
+                nu[idx, k] = _reduced_norms(Xg, Tinv)
+                if states is not None:
+                    states[idx, k] = Xg
+            X[idx] = Xg
+    records = [
+        TrajectoryRecord(
+            r, t[r], h[r], topology[r], delta[r], nu[r],
+            None if states is None else states[r], float(gap[r]),
         )
-        delta[0] = disagreement(X)
-        nu[0] = reduced_norm(X, basis, T)
-        if states is not None:
-            states[0] = X
-        gap = 0.0
-        topo_idx = 0
-        for k in range(config.steps):
-            if config.switch_period is not None and k % config.switch_period == 0:
-                topo_idx = int(rng.integers(len(pool)))
-            h = sample_interval(rng, config.h_min, config.hbar)
-            X_next = step(X, pool[topo_idx], K, h, config.plant)
-            if config.verify_step_forms:
-                other = step_kronecker(X, pool[topo_idx], K, h, config.plant)
-                gap = max(gap, float(np.abs(X_next - other).max()))
-            X = X_next
-            t[k + 1] = t[k] + h
-            h_log[k] = h
-            topo_log[k] = topo_idx
-            delta[k + 1] = disagreement(X)
-            nu[k + 1] = reduced_norm(X, basis, T)
-            if states is not None:
-                states[k + 1] = X
-        records.append(
-            TrajectoryRecord(run_id, t, h_log, topo_log, delta, nu, states, gap)
-        )
-    aggregate = np.max(np.stack([r.delta for r in records]), axis=0)
-    return BatchResult(records, aggregate, cert, pool, band)
+        for r in range(runs)
+    ]
+    return BatchResult(records, delta.max(axis=0), cert, pool, band)

@@ -63,6 +63,20 @@ def test_discretize_general_matches_closed_form():
     np.testing.assert_allclose(dp.G, [[0.5 * 1.7**2], [1.7]], atol=1e-13)
 
 
+def test_discretize_many_equals_discretize_per_interval(di_plant):
+    h = np.random.default_rng(0).uniform(0.0, 3.0, size=(3, 4))
+    general = PlantModel.general([[0.0, 1.0], [-2.0, -0.5]], [[0.0, 1.0], [1.0, 0.0]])
+    for plant in (di_plant, general):
+        F, G = plant.discretize_many(h)
+        assert F.shape == (3, 4, 2, 2) and G.shape == (3, 4, 2, plant.m)
+        for idx in np.ndindex(h.shape):
+            dp = plant.discretize(h[idx])
+            np.testing.assert_array_equal(F[idx], dp.F)
+            np.testing.assert_array_equal(G[idx], dp.G)
+    with pytest.raises(ValueError):
+        di_plant.discretize_many([0.5, -1.0])
+
+
 # ---------------------------------------------------------------------------
 # closed-loop assembly
 

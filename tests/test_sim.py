@@ -355,6 +355,97 @@ def test_run_raw_gain_single_integrator_certifies_with_identity():
         assert np.all(nu[1:][active] < nu[:-1][active])
 
 
+def _reference_run(config, pool, K, T):
+    """Step-by-step batch: scalar draws per step, the pairwise-difference step
+    and the Helmert-basis reduced norm, one run after another."""
+    _, *run_seeds = np.random.SeedSequence(config.seed).spawn(config.runs + 1)
+    mbar = reduction_basis(config.n_agents).mbar
+    Tinv = np.linalg.inv(T)
+    lows = np.array([lo for lo, _ in config.init_bounds])
+    highs = np.array([hi for _, hi in config.init_bounds])
+    refs = []
+    for seed in run_seeds:
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(lows, highs, size=(config.n_agents, config.plant.n))
+        t, h_log, topo_log, states = [0.0], [], [], [X]
+        topo_idx = 0
+        for k in range(config.steps):
+            if config.switch_period is not None and k % config.switch_period == 0:
+                topo_idx = int(rng.integers(len(pool)))
+            h = float(rng.uniform(config.h_min, config.hbar))
+            dp = config.plant.discretize(h)
+            diffs = X[None, :, :] - X[:, None, :]
+            coupling = np.einsum("ij,ijk->ik", pool[topo_idx].weights, diffs)
+            X = X @ dp.F.T + coupling @ (dp.G @ K).T
+            t.append(t[-1] + h)
+            h_log.append(h)
+            topo_log.append(topo_idx)
+            states.append(X)
+        states = np.array(states)
+        delta = (states.max(axis=1) - states.min(axis=1)).max(axis=1)
+        nu = np.array([np.linalg.norm(mbar.T @ x @ Tinv.T) for x in states])
+        refs.append((np.array(t), np.array(h_log), np.array(topo_log), delta, nu, states))
+    return refs
+
+
+def _oracle_config(case, example1_design):
+    if case == "single-integrator-verified":
+        return SimulationConfig(
+            n_agents=4,
+            plant=PlantModel.general([[0.0]], [[1.0]]),
+            hbar=0.5,
+            steps=60,
+            runs=3,
+            seed=21,
+            topology=TopologyRecipe(0.5, 2.0, pool_size=2),
+            gain=np.array([[0.5]]),
+            init_bounds=((-10.0, 10.0),),
+            verify_step_forms=True,
+        )
+    overrides = {
+        "no-switching": dict(switch_period=None),
+        "period-25-of-60": dict(switch_period=25),
+        "one-graph-pool": dict(topology=[WeightedDigraph.complete(5)]),
+        "one-run": dict(runs=1),
+        "recorded-states": dict(record_states=True, runs=4),
+    }[case]
+    return small_config(design=example1_design, **overrides)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-switching",
+        "period-25-of-60",
+        "one-graph-pool",
+        "one-run",
+        "recorded-states",
+        "single-integrator-verified",
+    ],
+)
+def test_run_matches_step_by_step_reference(case, example1_design):
+    cfg = _oracle_config(case, example1_design)
+    result = run(cfg)
+    if cfg.design is not None:
+        K, T = cfg.design.K, cfg.design.T
+    else:
+        K, T = cfg.gain, cfg.transform
+    refs = _reference_run(cfg, result.pool, K, T)
+    assert len(result.records) == len(refs) == cfg.runs
+    for rec, (t, h, topo, delta, nu, states) in zip(result.records, refs):
+        assert np.array_equal(rec.t, t)
+        assert np.array_equal(rec.h, h)
+        assert np.array_equal(rec.topology, topo)
+        assert np.abs(rec.delta - delta).max() <= 1e-12 * delta[0]
+        assert np.abs(rec.nu - nu).max() <= 1e-12 * nu[0]
+        if cfg.record_states:
+            assert np.abs(rec.states - states).max() <= 1e-12 * np.abs(states[0]).max()
+        else:
+            assert rec.states is None
+        if cfg.verify_step_forms:
+            assert rec.step_form_gap < 1e-12
+
+
 def test_run_example2_regime_smoke(example2_design):
     cfg = SimulationConfig(
         n_agents=100,
