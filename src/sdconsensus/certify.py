@@ -45,7 +45,7 @@ GENERAL = "general"
 _DI_A = np.array([[0.0, 1.0], [0.0, 0.0]])
 _DI_B = np.array([[0.0], [1.0]])
 
-# default confirmation grid of the exact certificate (it only feeds the
+# fixed confirmation grid of the exact certificate (it only feeds the
 # reported worst sample) and default sample grid of the grid certificate
 _CONFIRM_GRID = (64, 64)
 _SAMPLE_GRID = (200, 200)
@@ -218,24 +218,28 @@ def transformed_entries(h: float, lam: float, dsn: GainDesign) -> np.ndarray:
     )
 
 
-def _transformed_grid_sigmas(
+def _worst_sample(
     plant: PlantModel,
     K: np.ndarray,
     T: np.ndarray,
-    h_samples: np.ndarray,
+    hbar: float,
+    nh: int,
     lam_samples: np.ndarray,
-) -> np.ndarray:
-    """Max singular values of T^-1 (F - lambda G K) T on a sample grid."""
+) -> tuple[float, tuple[float, complex]]:
+    """Largest singular value of T^-1 (F - lambda G K) T on the sample grid
+    h = hbar / nh, ..., hbar by ``lam_samples``, and the (h, lambda) where it
+    occurs."""
+    h_samples = hbar * np.arange(1, nh + 1) / nh
     Tinv = np.linalg.inv(T)
-    out = np.empty((len(h_samples), len(lam_samples)))
-    lam = np.asarray(lam_samples)
+    sigmas = np.empty((nh, len(lam_samples)))
     for i, h in enumerate(h_samples):
         dp = plant.discretize(h)
         base = Tinv @ dp.F @ T
         coupling = Tinv @ (dp.G @ K) @ T
-        stack = base[None, :, :] - lam[:, None, None] * coupling[None, :, :]
-        out[i] = numerics.max_singular_values(stack)
-    return out
+        stack = base[None, :, :] - lam_samples[:, None, None] * coupling[None, :, :]
+        sigmas[i] = numerics.max_singular_values(stack)
+    i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
+    return float(sigmas[i, j]), (float(h_samples[i]), complex(lam_samples[j]))
 
 
 def _sign_conditions(spec: DesignSpec, dsn: GainDesign) -> bool:
@@ -257,40 +261,31 @@ def _sign_conditions(spec: DesignSpec, dsn: GainDesign) -> bool:
     return dsn.k1 > 0.0
 
 
-def certify_double_integrator(
-    spec: DesignSpec,
-    dsn: GainDesign,
-    confirm_grid: tuple[int, int] = _CONFIRM_GRID,
-) -> ContractionCertificate:
+def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionCertificate:
     """Exact-inequality certificate for a double-integrator gain design.
 
     Certified when the six strict gain inequalities and the extremal sign
     conditions all hold, which covers every (h, lambda) in
-    (0, hbar] x [lambda2, lambdaN] by monotonicity of the entries.  The
-    confirmation grid only supplies the reported worst sample; the verdict
-    does not depend on it unless the inequalities fail, in which case a
-    sample at or above one downgrades to "refuted" and otherwise the result
-    is "inconclusive".
+    (0, hbar] x [lambda2, lambdaN] by monotonicity of the entries.  A fixed
+    64x64 confirmation grid only supplies the reported worst sample; the
+    verdict does not depend on it unless the inequalities fail, in which
+    case a sample at or above one downgrades to "refuted" and otherwise the
+    result is "inconclusive".
     """
-    plant = PlantModel.double_integrator()
-    nh, nl = confirm_grid
-    h_samples = spec.hbar * np.arange(1, nh + 1) / nh
-    lam_samples = np.linspace(spec.lambda2, spec.lambdaN, max(nl, 2))
-    sigmas = _transformed_grid_sigmas(plant, dsn.K, dsn.T, h_samples, lam_samples)
-    i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
-    worst = float(sigmas[i, j])
-    point = (float(h_samples[i]), complex(lam_samples[j]))
+    nh, nl = _CONFIRM_GRID
+    lam_samples = np.linspace(spec.lambda2, spec.lambdaN, nl)
+    worst, point = _worst_sample(
+        PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, lam_samples
+    )
     if check_gain_inequalities(spec, dsn) and _sign_conditions(spec, dsn):
-        return ContractionCertificate(
-            "certified", worst, point, "exact-inequality", (nh, len(lam_samples))
-        )
+        return ContractionCertificate("certified", worst, point, "exact-inequality", (nh, nl))
     if worst >= 1.0:
         return ContractionCertificate(
-            "refuted", worst, point, "exact-inequality", (nh, len(lam_samples)),
+            "refuted", worst, point, "exact-inequality", (nh, nl),
             notes="gain inequalities violated; grid sample at or above one",
         )
     return ContractionCertificate(
-        "inconclusive", worst, point, "exact-inequality", (nh, len(lam_samples)),
+        "inconclusive", worst, point, "exact-inequality", (nh, nl),
         notes="gain inequalities violated; no grid sample reached one",
     )
 
@@ -345,11 +340,7 @@ def certify_grid(
         lam_samples = np.asarray(list(lambdas), dtype=complex)
         if lam_samples.size == 0:
             raise ValueError("lambda set must not be empty")
-    h_samples = hbar * np.arange(1, nh + 1) / nh
-    sigmas = _transformed_grid_sigmas(plant, K, T, h_samples, lam_samples)
-    i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
-    worst = float(sigmas[i, j])
-    point = (float(h_samples[i]), complex(lam_samples[j]))
+    worst, point = _worst_sample(plant, K, T, hbar, nh, lam_samples)
     shape = (nh, len(lam_samples))
     if worst >= 1.0:
         verdict = "refuted"
@@ -364,7 +355,7 @@ def certify_gain(
     plant: PlantModel,
     hbar: float,
     lambdas,
-    grid: tuple[int, int] | None = None,
+    grid: tuple[int, int] = _SAMPLE_GRID,
     guard: float = 1e-6,
     *,
     design: GainDesign | None = None,
@@ -378,22 +369,20 @@ def certify_gain(
     over a real interval ``lambdas`` = (lo, hi) gets the exact certificate,
     which covers every (h, lambda) in (0, hbar] x [lo, hi].  Everything
     else (raw gains, general plants, the explicit eigenvalues of a fixed
-    digraph) gets the grid certificate of K under T.  ``grid`` is the
-    exact certificate's confirmation grid or the grid certificate's sample
-    grid; None keeps the method's default.  ``guard`` only applies to the
-    grid certificate.
+    digraph) gets the grid certificate of K under T.  ``grid`` and ``guard``
+    only apply to the grid certificate, so the exact certificate reports the
+    same worst sample whoever asks.
     """
     if (design is None) == (gain is None):
         raise ValueError("give exactly one of design or gain")
     if design is not None:
         interval = _real_interval(lambdas)
         if plant.kind == DOUBLE_INTEGRATOR and interval is not None:
-            spec = DesignSpec(hbar, *interval)
-            return certify_double_integrator(spec, design, grid or _CONFIRM_GRID)
+            return certify_double_integrator(DesignSpec(hbar, *interval), design)
         gain, transform = design.K, design.T
     if transform is None:
         transform = np.eye(plant.n)
-    return certify_grid(plant, gain, transform, hbar, lambdas, grid or _SAMPLE_GRID, guard)
+    return certify_grid(plant, gain, transform, hbar, lambdas, grid, guard)
 
 
 def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float:

@@ -25,18 +25,12 @@ import yaml
 
 from . import __version__
 from .certify import ContractionCertificate, PlantModel, certify_gain
-from .graph import (
-    GraphBandError,
-    UnsupportedGraphError,
-    WeightedDigraph,
-    consensus_eigenvalues,
-    has_spanning_tree,
-    pool_band,
-)
+from .graph import GraphBandError, WeightedDigraph, consensus_eigenvalues, has_spanning_tree
 from .sim import (
     SimulationConfig,
     TopologyRecipe,
     UncertifiedGainError,
+    _topology_band,
     run,
 )
 from .synthesis import DesignSpec, design, is_feasible
@@ -74,10 +68,76 @@ def load_config(path) -> dict:
     return raw
 
 
-_TOP_LEVEL_KEYS = {
-    "plant", "design", "gain", "topology", "sampling",
-    "schedule", "batch", "init", "output", "certify",
+_REQUIRED = object()  # a missing field is an error
+_OMITTED = object()  # a missing field stays out of the resolved config
+
+
+def _matrix(rows) -> list:
+    return [[float(v) for v in row] for row in rows]
+
+
+# section -> field -> (coercion, default).  A dict in place of a coercion is
+# the field table of a nested mapping; a null value counts as missing.
+_SCHEMA = {
+    "plant": ({
+        "kind": (str, "double_integrator"),
+        "A": (_matrix, _OMITTED),
+        "B": (_matrix, _OMITTED),
+    }, {}),
+    "design": ({"lambda2": (float, _REQUIRED), "lambdaN": (float, _REQUIRED)}, None),
+    "gain": ({"K": (_matrix, _REQUIRED), "T": (_matrix, None)}, None),
+    "topology": ({
+        "graphs": (lambda paths: [str(p) for p in paths], _OMITTED),
+        "random": ({
+            "agents": (int, _REQUIRED),
+            "lambda_band": (lambda band: [float(v) for v in band], _REQUIRED),
+            "pool_size": (int, 4),
+            "seed": (int, None),
+            "edge_prob": (float, 0.3),
+        }, _OMITTED),
+    }, None),
+    "sampling": ({"hbar": (float, _REQUIRED), "h_min": (float, _OMITTED)}, {}),
+    "schedule": ({"steps": (int, 1000), "switch_period": (int, None)}, {}),
+    "batch": ({"runs": (int, 100), "seed": (int, 0)}, {}),
+    "init": ({
+        "bounds": (
+            lambda bounds: [[float(lo), float(hi)] for lo, hi in bounds],
+            [[-10.0, 10.0], [-1.0, 1.0]],
+        ),
+    }, {}),
+    "output": ({"dir": (str, "out"), "full_state": (bool, False)}, {}),
+    "certify": ({
+        "mode": (str, "band"),
+        "grid": (lambda grid: [int(v) for v in grid], [200, 200]),
+        "guard": (float, 1e-6),
+    }, {}),
 }
+
+
+def _fill(fields: dict, raw, prefix: str = "") -> dict:
+    """Coerce the fields of one mapping, fill defaults, reject missing
+    required fields and unknown keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a mapping")
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(prefix + str(k) for k in unknown)}")
+    out = {}
+    for key, (coerce, default) in fields.items():
+        value = raw.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{prefix}{key} is required")
+            if default is _OMITTED:
+                continue
+            value = default
+        if value is None:
+            out[key] = None
+        elif isinstance(coerce, dict):
+            out[key] = _fill(coerce, value, f"{prefix}{key}.")
+        else:
+            out[key] = coerce(value)
+    return out
 
 
 def resolve_config(raw: dict) -> dict:
@@ -87,119 +147,27 @@ def resolve_config(raw: dict) -> dict:
     re-resolution, so its digest does not depend on key order or on which
     defaults were spelled out in the file.
     """
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    plant = dict(raw.get("plant") or {})
-    plant.setdefault("kind", "double_integrator")
+    resolved = _fill(_SCHEMA, raw)
+    plant, sampling, topology = resolved["plant"], resolved["sampling"], resolved["topology"]
     if plant["kind"] not in ("double_integrator", "general"):
         raise ConfigError(f"unknown plant kind {plant['kind']!r}")
-    if plant["kind"] == "general":
-        if "A" not in plant or "B" not in plant:
-            raise ConfigError("general plant needs A and B matrices")
-        plant["A"] = [[float(v) for v in row] for row in plant["A"]]
-        plant["B"] = [[float(v) for v in row] for row in plant["B"]]
-
-    sampling = dict(raw.get("sampling") or {})
-    if "hbar" not in sampling:
-        raise ConfigError("sampling.hbar is required")
-    sampling["hbar"] = float(sampling["hbar"])
+    if plant["kind"] == "general" and ("A" not in plant or "B" not in plant):
+        raise ConfigError("general plant needs A and B matrices")
     if sampling["hbar"] <= 0.0:
         raise ConfigError("sampling.hbar must be positive")
-    sampling["h_min"] = float(sampling.get("h_min", sampling["hbar"] * 1e-3))
-
-    dsn = raw.get("design")
-    gain = raw.get("gain")
-    if dsn is not None and gain is not None:
+    sampling.setdefault("h_min", sampling["hbar"] * 1e-3)
+    if resolved["design"] is not None and resolved["gain"] is not None:
         raise ConfigError("give either design or gain, not both")
-    if dsn is not None:
-        dsn = dict(dsn)
-        if "lambda2" not in dsn or "lambdaN" not in dsn:
-            raise ConfigError("design needs lambda2 and lambdaN")
-        dsn = {"lambda2": float(dsn["lambda2"]), "lambdaN": float(dsn["lambdaN"])}
-    if gain is not None:
-        gain = dict(gain)
-        if "K" not in gain:
-            raise ConfigError("gain needs the feedback matrix K")
-        out_gain = {"K": [[float(v) for v in row] for row in gain["K"]]}
-        if gain.get("T") is not None:
-            out_gain["T"] = [[float(v) for v in row] for row in gain["T"]]
-        else:
-            out_gain["T"] = None
-        gain = out_gain
-
-    topology = raw.get("topology")
     if topology is not None:
-        topology = dict(topology)
         if ("graphs" in topology) == ("random" in topology):
             raise ConfigError("topology needs exactly one of graphs or random")
-        if "graphs" in topology:
-            topology = {"graphs": [str(p) for p in topology["graphs"]]}
-            if not topology["graphs"]:
-                raise ConfigError("topology.graphs must not be empty")
-        else:
-            recipe = dict(topology["random"])
-            if "agents" not in recipe or "lambda_band" not in recipe:
-                raise ConfigError("topology.random needs agents and lambda_band")
-            band = [float(v) for v in recipe["lambda_band"]]
-            if len(band) != 2:
-                raise ConfigError("lambda_band must be [lo, hi]")
-            topology = {
-                "random": {
-                    "agents": int(recipe["agents"]),
-                    "lambda_band": band,
-                    "pool_size": int(recipe.get("pool_size", 4)),
-                    "seed": (None if recipe.get("seed") is None else int(recipe["seed"])),
-                    "edge_prob": float(recipe.get("edge_prob", 0.3)),
-                }
-            }
-
-    schedule = dict(raw.get("schedule") or {})
-    schedule = {
-        "steps": int(schedule.get("steps", 1000)),
-        "switch_period": (
-            None
-            if schedule.get("switch_period") is None
-            else int(schedule["switch_period"])
-        ),
-    }
-
-    batch = dict(raw.get("batch") or {})
-    batch = {"runs": int(batch.get("runs", 100)), "seed": int(batch.get("seed", 0))}
-
-    init = dict(raw.get("init") or {})
-    bounds = init.get("bounds", [[-10.0, 10.0], [-1.0, 1.0]])
-    init = {"bounds": [[float(lo), float(hi)] for lo, hi in bounds]}
-
-    output = dict(raw.get("output") or {})
-    output = {
-        "dir": str(output.get("dir", "out")),
-        "full_state": bool(output.get("full_state", False)),
-    }
-
-    certify_sec = dict(raw.get("certify") or {})
-    mode = certify_sec.get("mode", "band")
-    if mode not in ("band", "fixed"):
-        raise ConfigError(f"unknown certify mode {mode!r}")
-    certify_sec = {
-        "mode": mode,
-        "grid": [int(v) for v in certify_sec.get("grid", [200, 200])],
-        "guard": float(certify_sec.get("guard", 1e-6)),
-    }
-
-    return {
-        "plant": plant,
-        "design": dsn,
-        "gain": gain,
-        "topology": topology,
-        "sampling": sampling,
-        "schedule": schedule,
-        "batch": batch,
-        "init": init,
-        "output": output,
-        "certify": certify_sec,
-    }
+        if topology.get("graphs") == []:
+            raise ConfigError("topology.graphs must not be empty")
+        if "random" in topology and len(topology["random"]["lambda_band"]) != 2:
+            raise ConfigError("lambda_band must be [lo, hi]")
+    if resolved["certify"]["mode"] not in ("band", "fixed"):
+        raise ConfigError(f"unknown certify mode {resolved['certify']['mode']!r}")
+    return resolved
 
 
 def serialize_config(resolved: dict) -> str:
@@ -275,16 +243,11 @@ def _build_plant(resolved: dict) -> PlantModel:
     return PlantModel.general(np.array(plant["A"]), np.array(plant["B"]))
 
 
-def _load_pool(resolved: dict, base_dir: Path) -> list[WeightedDigraph]:
-    paths = resolved["topology"]["graphs"]
-    return [read_graph_file(base_dir / p) for p in paths]
-
-
 def _build_topology(resolved: dict, base_dir: Path):
-    """Returns (topology object for sim, n_agents)."""
+    """(topology object for sim, n_agents), or (None, None) without one."""
     topo = resolved["topology"]
     if topo is None:
-        raise ConfigError("topology section is required")
+        return None, None
     if "random" in topo:
         r = topo["random"]
         recipe = TopologyRecipe(
@@ -292,7 +255,7 @@ def _build_topology(resolved: dict, base_dir: Path):
             pool_size=r["pool_size"], seed=r["seed"], edge_prob=r["edge_prob"],
         )
         return recipe, r["agents"]
-    pool = _load_pool(resolved, base_dir)
+    pool = [read_graph_file(base_dir / p) for p in topo["graphs"]]
     sizes = {g.n for g in pool}
     if len(sizes) != 1:
         raise ConfigError(f"pool graphs disagree on node count: {sorted(sizes)}")
@@ -321,24 +284,6 @@ def _build_gain(resolved: dict) -> dict:
             "transform": None if T is None else np.array(T),
         }
     raise ConfigError("config needs a design or gain section")
-
-
-def _certification_band(resolved: dict, base_dir: Path) -> tuple[float, float]:
-    if resolved["design"] is not None:
-        return resolved["design"]["lambda2"], resolved["design"]["lambdaN"]
-    topo = resolved["topology"]
-    if topo is None:
-        raise ConfigError("no eigenvalue band available: give design or topology")
-    if "random" in topo:
-        lo, hi = topo["random"]["lambda_band"]
-        return lo, hi
-    try:
-        return pool_band(_load_pool(resolved, base_dir))
-    except UnsupportedGraphError as exc:
-        raise ConfigError(
-            f"topology.graphs: {exc} (use certify.mode: fixed for a single "
-            "general digraph)"
-        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +343,7 @@ def _write_report(path, cert: ContractionCertificate, extra: dict | None = None)
 
 
 def cmd_design(args) -> int:
-    try:
-        spec = DesignSpec(args.hbar, args.lambda2, args.lambdaN)
-        dsn = design(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    dsn = design(DesignSpec(args.hbar, args.lambda2, args.lambdaN))
     K = dsn.K[0]
     print(f"mu1 = {_fmt(dsn.mu1)}")
     print(f"mu2 = {_fmt(dsn.mu2)}")
@@ -416,49 +356,44 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _certify_from_config(args) -> tuple[ContractionCertificate, dict]:
-    cfg_path = Path(args.config)
-    resolved = resolve_config(load_config(cfg_path))
-    base_dir = cfg_path.parent
-    plant = _build_plant(resolved)
-    gain = _build_gain(resolved)
+def _certify_from_config(path) -> tuple[ContractionCertificate, dict]:
+    """The certificate of a config's gain.  Fixed mode takes the exact
+    eigenvalues of its single graph; band mode takes the band that
+    ``simulate`` certifies, and the design band only without a topology."""
+    resolved = resolve_config(load_config(path))
+    topology, _ = _build_topology(resolved, Path(path).parent)
     if resolved["certify"]["mode"] == "fixed":
-        topo = resolved["topology"]
-        if topo is None or "graphs" not in topo or len(topo["graphs"]) != 1:
+        if not isinstance(topology, list) or len(topology) != 1:
             raise ConfigError("fixed mode needs topology.graphs with exactly one graph")
-        g = read_graph_file(base_dir / topo["graphs"][0])
-        if not has_spanning_tree(g):
+        if not has_spanning_tree(topology[0]):
             raise ConfigError("fixed-mode graph must have a spanning tree")
-        lambdas = consensus_eigenvalues(g)
+        lambdas = consensus_eigenvalues(topology[0])
+    elif topology is not None:
+        lambdas = _topology_band(topology)
+    elif resolved["design"] is not None:
+        lambdas = (resolved["design"]["lambda2"], resolved["design"]["lambdaN"])
     else:
-        lambdas = _certification_band(resolved, base_dir)
+        raise ConfigError("no eigenvalue band available: give design or topology")
     cert = certify_gain(
-        plant, resolved["sampling"]["hbar"], lambdas,
-        tuple(resolved["certify"]["grid"]), resolved["certify"]["guard"], **gain,
+        _build_plant(resolved), resolved["sampling"]["hbar"], lambdas,
+        tuple(resolved["certify"]["grid"]), resolved["certify"]["guard"],
+        **_build_gain(resolved),
     )
     return cert, {"config_digest": config_digest(resolved)}
 
 
 def cmd_certify(args) -> int:
-    try:
-        if args.config is not None:
-            cert, extra = _certify_from_config(args)
-        else:
-            if None in (args.hbar, args.lambda2, args.lambdaN):
-                print(
-                    "error: give --config or all of --hbar --lambda2 --lambdaN",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            spec = DesignSpec(args.hbar, args.lambda2, args.lambdaN)
-            cert = certify_gain(
-                PlantModel.double_integrator(), spec.hbar, (spec.lambda2, spec.lambdaN),
-                design=design(spec),
-            )
-            extra = {}
-    except (ConfigError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.config is not None:
+        cert, extra = _certify_from_config(args.config)
+    elif None in (args.hbar, args.lambda2, args.lambdaN):
+        raise ConfigError("give --config or all of --hbar --lambda2 --lambdaN")
+    else:
+        spec = DesignSpec(args.hbar, args.lambda2, args.lambdaN)
+        cert = certify_gain(
+            PlantModel.double_integrator(), spec.hbar, (spec.lambda2, spec.lambdaN),
+            design=design(spec),
+        )
+        extra = {}
     if args.report is not None:
         _write_report(args.report, cert, extra)
     lam = complex(cert.worst_point[1])
@@ -473,30 +408,26 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
-    try:
-        cfg_path = Path(args.config)
-        resolved = resolve_config(load_config(cfg_path))
-        base_dir = cfg_path.parent
-        plant = _build_plant(resolved)
-        gain = _build_gain(resolved)
-        topology, n_agents = _build_topology(resolved, base_dir)
-        config = SimulationConfig(
-            n_agents=n_agents,
-            plant=plant,
-            hbar=resolved["sampling"]["hbar"],
-            h_min=resolved["sampling"]["h_min"],
-            steps=resolved["schedule"]["steps"],
-            switch_period=resolved["schedule"]["switch_period"],
-            runs=resolved["batch"]["runs"],
-            seed=resolved["batch"]["seed"],
-            topology=topology,
-            init_bounds=tuple(tuple(b) for b in resolved["init"]["bounds"]),
-            record_states=resolved["output"]["full_state"],
-            **gain,
-        )
-    except (ConfigError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    resolved = resolve_config(load_config(args.config))
+    plant = _build_plant(resolved)
+    gain = _build_gain(resolved)
+    topology, n_agents = _build_topology(resolved, Path(args.config).parent)
+    if topology is None:
+        raise ConfigError("topology section is required")
+    config = SimulationConfig(
+        n_agents=n_agents,
+        plant=plant,
+        hbar=resolved["sampling"]["hbar"],
+        h_min=resolved["sampling"]["h_min"],
+        steps=resolved["schedule"]["steps"],
+        switch_period=resolved["schedule"]["switch_period"],
+        runs=resolved["batch"]["runs"],
+        seed=resolved["batch"]["seed"],
+        topology=topology,
+        init_bounds=tuple(tuple(b) for b in resolved["init"]["bounds"]),
+        record_states=resolved["output"]["full_state"],
+        **gain,
+    )
     try:
         result = run(config, force=args.force)
     except UncertifiedGainError as exc:
@@ -504,9 +435,6 @@ def cmd_simulate(args) -> int:
         if args.report is not None:
             _write_report(args.report, exc.certificate)
         return EXIT_UNCERTIFIED
-    except GraphBandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out is not None else Path(resolved["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -554,7 +482,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+def _axis(lo: float, hi: float, n: float) -> np.ndarray:
+    n = int(n)
     if n < 1 or hi < lo:
         raise ConfigError("axis needs lo <= hi and at least one point")
     if lo == hi:
@@ -563,36 +492,26 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        hbars = _axis(*args.hbar_axis[:2], int(args.hbar_axis[2]))
-        ratios = _axis(*args.ratio_axis[:2], int(args.ratio_axis[2]))
-        if np.any(ratios < 1.0):
-            raise ConfigError("band ratios below one are meaningless")
-        if (args.mu1 is None) != (args.mu2 is None):
-            raise ConfigError("give both --mu1 and --mu2 or neither")
-        grid = (int(args.grid[0]), int(args.grid[1]))
-        if min(grid) < 1:
-            raise ConfigError("grid needs at least one sample per axis")
-        cells = []
-        for hbar in hbars:
-            for ratio in ratios:
-                spec = DesignSpec(float(hbar), args.lambda2, args.lambda2 * float(ratio))
-                dsn = design(spec)
-                mu = (dsn.mu1, dsn.mu2) if args.mu1 is None else (args.mu1, args.mu2)
-                cells.append((ratio, spec, dsn, is_feasible(spec, *mu)))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    hbars = _axis(*args.hbar_axis)
+    ratios = _axis(*args.ratio_axis)
+    if np.any(ratios < 1.0):
+        raise ConfigError("band ratios below one are meaningless")
+    if (args.mu1 is None) != (args.mu2 is None):
+        raise ConfigError("give both --mu1 and --mu2 or neither")
     plant = PlantModel.double_integrator()
     lines = ["hbar,ratio,lambda2,lambdaN,feasible,k1,k2,K1,K2,verdict,margin"]
-    for ratio, spec, dsn, feasible in cells:
-        cert = certify_gain(plant, spec.hbar, (spec.lambda2, spec.lambdaN), grid, design=dsn)
-        lines.append(
-            f"{_fmt(spec.hbar)},{_fmt(ratio)},{_fmt(spec.lambda2)},{_fmt(spec.lambdaN)},"
-            f"{int(feasible)},{_fmt(dsn.k1)},{_fmt(dsn.k2)},"
-            f"{_fmt(dsn.K[0, 0])},{_fmt(dsn.K[0, 1])},{cert.verdict},{_fmt(cert.margin)}"
-        )
+    for hbar in hbars:
+        for ratio in ratios:
+            spec = DesignSpec(float(hbar), args.lambda2, args.lambda2 * float(ratio))
+            dsn = design(spec)
+            mu = (dsn.mu1, dsn.mu2) if args.mu1 is None else (args.mu1, args.mu2)
+            feasible = is_feasible(spec, *mu)
+            cert = certify_gain(plant, spec.hbar, (spec.lambda2, spec.lambdaN), design=dsn)
+            lines.append(
+                f"{_fmt(spec.hbar)},{_fmt(ratio)},{_fmt(spec.lambda2)},{_fmt(spec.lambdaN)},"
+                f"{int(feasible)},{_fmt(dsn.k1)},{_fmt(dsn.k2)},"
+                f"{_fmt(dsn.K[0, 0])},{_fmt(dsn.K[0, 1])},{cert.verdict},{_fmt(cert.margin)}"
+            )
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -647,16 +566,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu1", type=float, default=None,
                    help="fixed transform parameter for the feasibility column")
     p.add_argument("--mu2", type=float, default=None)
-    p.add_argument("--grid", type=int, nargs=2, default=(100, 100),
-                   metavar=("NH", "NL"))
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
+# unusable input in any command: exit 2 with a one-line message, no traceback
+# (ConfigError and UnsupportedGraphError are ValueErrors)
+_USAGE_ERRORS = (ValueError, TypeError, OSError, yaml.YAMLError, GraphBandError)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

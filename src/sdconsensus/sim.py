@@ -317,7 +317,15 @@ def reduced_norm(state, basis: ReductionBasis, T) -> float:
     return float(_reduced_norms(X[None], Tinv)[0])
 
 
-def _materialize_pool(config: SimulationConfig, pool_seed) -> tuple[list, tuple[float, float]]:
+def _topology_band(topology) -> tuple[float, float]:
+    """The eigenvalue band a certificate must cover for ``topology``: the
+    recipe's band, or the band of an explicit pool of balanced graphs."""
+    if isinstance(topology, TopologyRecipe):
+        return topology.lambda_lo, topology.lambda_hi
+    return pool_band(topology)
+
+
+def _materialize_pool(config: SimulationConfig, pool_seed) -> list:
     if isinstance(config.topology, TopologyRecipe):
         recipe = config.topology
         seq = (
@@ -325,17 +333,14 @@ def _materialize_pool(config: SimulationConfig, pool_seed) -> tuple[list, tuple[
             if recipe.seed is not None
             else pool_seed
         )
-        sub = seq.spawn(recipe.pool_size)
-        pool = [
+        return [
             random_balanced_graph(
                 config.n_agents, recipe.lambda_lo, recipe.lambda_hi, s,
                 edge_prob=recipe.edge_prob,
             )
-            for s in sub
+            for s in seq.spawn(recipe.pool_size)
         ]
-        return pool, (recipe.lambda_lo, recipe.lambda_hi)
-    pool = list(config.topology)
-    return pool, pool_band(pool)
+    return list(config.topology)
 
 
 def _draw_streams(config: SimulationConfig, run_seeds, pool_size: int):
@@ -373,7 +378,8 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     """
     master = np.random.SeedSequence(config.seed)
     pool_seed, *run_seeds = master.spawn(config.runs + 1)
-    pool, band = _materialize_pool(config, pool_seed)
+    pool = _materialize_pool(config, pool_seed)
+    band = _topology_band(config.topology)
     cert = certify_gain(
         config.plant, config.hbar, band,
         design=config.design, gain=config.gain, transform=config.transform,

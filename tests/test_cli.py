@@ -1,4 +1,8 @@
 import json
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,9 @@ import yaml
 
 from sdconsensus import cli
 from sdconsensus.graph import WeightedDigraph
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_yaml(path, payload):
@@ -135,6 +142,20 @@ def test_certify_fixed_mode_needs_spanning_tree(tmp_path, capsys):
     assert "spanning tree" in capsys.readouterr().err
 
 
+def test_certify_config_report_matches_inline(tmp_path):
+    # the exact certificate reports the same worst sample whoever asks
+    by_config, inline = tmp_path / "config.json", tmp_path / "inline.json"
+    rc = cli.main(["certify", "--config", str(CONFIG_DIR / "example1.yaml"),
+                   "--report", str(by_config)])
+    assert rc == cli.EXIT_OK
+    rc = cli.main(["certify", "--hbar", "3", "--lambda2", "0.3", "--lambdaN", "6",
+                   "--report", str(inline)])
+    assert rc == cli.EXIT_OK
+    payload = json.loads(by_config.read_text())
+    del payload["config_digest"]
+    assert payload == json.loads(inline.read_text())
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 
@@ -230,8 +251,11 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     no_graph_fits = sim_config_dict(
         topology={"random": {"agents": 12, "lambda_band": [1.0, 1.0001]}}
     )
+    misspelled = sim_config_dict(schedule={"switch_perod": 10})
+    extra_sampling = sim_config_dict(sampling={"hbar": 3, "hmin": 0.1})
     for name, cfg in (("unknown", unknown), ("one_agent", one_agent),
-                      ("no_graph_fits", no_graph_fits)):
+                      ("no_graph_fits", no_graph_fits), ("misspelled", misspelled),
+                      ("extra_sampling", extra_sampling)):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
@@ -286,8 +310,13 @@ RAW_GAIN = {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]}
             },
             True,
         ),
+        # designed for [1, 2] but simulated on graphs anywhere in [0.3, 6]
+        ({"design": {"lambda2": 1.0, "lambdaN": 2.0}}, False),
     ],
-    ids=["design", "raw-gain-with-T", "raw-gain-without-T", "zero-gain", "single-integrator"],
+    ids=[
+        "design", "raw-gain-with-T", "raw-gain-without-T", "zero-gain", "single-integrator",
+        "design-band-narrower-than-topology",
+    ],
 )
 def test_simulate_refuses_exactly_when_certify_does_not_certify(tmp_path, overrides, certified):
     cfg = sim_config_dict(**overrides)
@@ -313,7 +342,6 @@ def test_sweep_feasibility_transition(tmp_path):
             "--ratio-axis", "1", "3", "9",
             "--lambda2", "1.0",
             "--mu1", "1.0", "--mu2", "4.0",
-            "--grid", "30", "30",
             "--out", str(out),
         ]
     )
@@ -333,7 +361,6 @@ def test_sweep_single_cell_matches_design(capsys, example1_design):
             "--hbar-axis", "3", "3", "1",
             "--ratio-axis", "20", "20", "1",
             "--lambda2", "0.3",
-            "--grid", "30", "30",
         ]
     )
     assert rc == cli.EXIT_OK
@@ -350,7 +377,6 @@ def test_sweep_degenerate_range_single_row(capsys):
             "sweep",
             "--hbar-axis", "2", "2", "5",
             "--ratio-axis", "4", "4", "5",
-            "--grid", "20", "20",
         ]
     )
     assert rc == cli.EXIT_OK
@@ -369,7 +395,6 @@ def test_sweep_rejects_empty_grid(capsys):
     for bad in (
         ["--hbar-axis", "0", "1", "2", "--ratio-axis", "1", "2", "3"],
         axes + ["--lambda2", "-1"],
-        axes + ["--grid", "0", "5"],
         axes + ["--mu1", "5", "--mu2", "1"],
     ):
         capsys.readouterr()
@@ -405,6 +430,19 @@ def test_config_digest_changes_with_content(tmp_path):
     cfg["batch"]["seed"] = 4321
     db = cli.config_digest(cli.resolve_config(cfg))
     assert da != db
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("example1", "0569b04c6c6f46346b01ea33f1a8da4b5dad54ec6ce2a852e30217aa927dd7f0"),
+        ("example2", "63cf57cfd835a7337e449e84beb0cbce89d893c59829c43e17d0e3ef043975fc"),
+    ],
+)
+def test_committed_config_digests_are_pinned(name, digest):
+    # manifests of earlier runs name these digests; a schema change must keep them
+    resolved = cli.resolve_config(cli.load_config(CONFIG_DIR / f"{name}.yaml"))
+    assert cli.config_digest(resolved) == digest
 
 
 def test_resolve_config_requires_hbar():
@@ -454,3 +492,25 @@ def test_graph_file_comments_and_errors(tmp_path):
     empty.write_text("# nothing\n", encoding="utf-8")
     with pytest.raises(cli.ConfigError):
         cli.read_graph_file(empty)
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+
+def readme_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sdconsensus ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # run from a copy of the repository's configs so every output lands in tmp_path
+    shutil.copytree(CONFIG_DIR, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"design", "certify", "simulate", "sweep"}
+    for argv in commands:
+        assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
