@@ -192,9 +192,7 @@ def closed_loop_matrix(plant: PlantModel, K, lam, h: float) -> np.ndarray:
 
     Complex for complex lambda (eigenvalues of directed topologies).
     """
-    K = np.asarray(K, dtype=float)
-    if K.shape != (plant.m, plant.n):
-        raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+    K, _ = _gain_pair(plant, K, None)
     dp = plant.discretize(h)
     return dp.F - lam * (dp.G @ K)
 
@@ -216,6 +214,20 @@ def transformed_entries(h: float, lam: float, dsn: GainDesign) -> np.ndarray:
             [-h * lam * k1 / 2.0, 1.0 - h * lam * k2 / 2.0],
         ]
     )
+
+
+def _gain_pair(plant: PlantModel, K, T) -> tuple[np.ndarray, np.ndarray]:
+    """A feedback K and its transform T (the identity when None) as float
+    arrays, checked against the plant: the one rule for a gain under T."""
+    K = np.asarray(K, dtype=float)
+    T = np.eye(plant.n) if T is None else np.asarray(T, dtype=float)
+    if K.shape != (plant.m, plant.n):
+        raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+    if T.shape != (plant.n, plant.n):
+        raise ValueError("T must be square with the plant dimension")
+    if abs(np.linalg.det(T)) < 1e-300:
+        raise ValueError("T must be invertible")
+    return K, T
 
 
 def _worst_sample(
@@ -318,14 +330,7 @@ def certify_grid(
     The h axis excludes zero, where the map is the identity by construction;
     the smallest sample is hbar / grid[0].
     """
-    K = np.asarray(K, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if K.shape != (plant.m, plant.n):
-        raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
-    if T.shape != (plant.n, plant.n):
-        raise ValueError("T must be square with the plant dimension")
-    if abs(np.linalg.det(T)) < 1e-300:
-        raise ValueError("T must be invertible")
+    K, T = _gain_pair(plant, K, T)
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise ValueError("hbar must be positive and finite")
     nh, nl = grid
@@ -380,8 +385,6 @@ def certify_gain(
         if plant.kind == DOUBLE_INTEGRATOR and interval is not None:
             return certify_double_integrator(DesignSpec(hbar, *interval), design)
         gain, transform = design.K, design.T
-    if transform is None:
-        transform = np.eye(plant.n)
     return certify_grid(plant, gain, transform, hbar, lambdas, grid, guard)
 
 
@@ -393,13 +396,10 @@ def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float
     eigenvalues lambda_i of the per-mode value, which is what the grid
     certifiers sample.
     """
-    K = np.asarray(K, dtype=float)
-    T = np.asarray(T, dtype=float)
+    K, T = _gain_pair(plant, K, T)
     lbar = np.asarray(reduced_lap, dtype=float)
     if lbar.ndim != 2 or lbar.shape[0] != lbar.shape[1]:
         raise ValueError("reduced Laplacian must be square")
-    if K.shape != (plant.m, plant.n):
-        raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
     dp = plant.discretize(h)
     n_modes = lbar.shape[0]
     eye = np.eye(n_modes)

@@ -1,9 +1,10 @@
 """Weighted digraphs: Laplacians, spectra, and the consensus reduction basis.
 
 Edge convention: ``weights[i, j] > 0`` means there is a link carrying agent
-j's state to agent i (j is an in-neighbor of i).  A graph is balanced when
-the weight matrix is symmetric; balanced graphs have real Laplacian spectra
-and are the only ones for which an exact spectrum summary is offered here.
+j's state to agent i (j is an in-neighbor of i).  A graph is balanced here
+when its weight matrix is symmetric: stricter than the paper's "balanced"
+(row sums equal column sums), as the real spectra below need, until
+balanced digraphs get a certificate of their own (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 
 
 def is_balanced(g: WeightedDigraph, tol: float = 1e-12) -> bool:
-    """True when the weight matrix is symmetric up to ``tol``."""
+    """True when the weight matrix is symmetric up to ``tol``: stricter than
+    the paper's balance (row sums equal column sums), which directed rings meet."""
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     w = g.weights
@@ -181,19 +183,26 @@ def spectrum(g: WeightedDigraph, tol: float = 1e-12) -> SpectrumSummary:
 
 
 def pool_band(pool) -> tuple[float, float]:
-    """Smallest lambda2 and largest lambdaN over a pool of balanced graphs.
+    """Smallest lambda2 and largest lambdaN over an explicit topology pool.
 
     This is the eigenvalue interval a certificate must cover for the pool
-    to switch freely.  Raises UnsupportedGraphError, naming the graph by its
-    position in the pool, when a graph is not balanced.
+    to switch freely, and the one check that it may: the pool is not
+    empty, its graphs share a node count, and each is balanced and has a
+    spanning tree.  A ValueError (UnsupportedGraphError when unbalanced)
+    names the offending graph by its position in the pool.
     """
+    pool = list(pool)
+    if not pool:
+        raise ValueError("topology pool must not be empty")
+    sizes = sorted({g.n for g in pool})
+    if len(sizes) != 1:
+        raise ValueError(f"pool graphs disagree on node count: {sizes}")
     lows, highs = [], []
     for i, g in enumerate(pool):
         if not is_balanced(g):
-            raise UnsupportedGraphError(
-                f"pool graph {i} is not balanced; band certification covers "
-                "switching topologies only when every pool graph is balanced"
-            )
+            raise UnsupportedGraphError(f"pool graph {i} is not balanced")
+        if not has_spanning_tree(g):
+            raise ValueError(f"pool graph {i} has no spanning tree")
         summ = spectrum(g)
         lows.append(summ.lambda2)
         highs.append(summ.lambdaN)

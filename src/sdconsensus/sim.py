@@ -31,12 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import ContractionCertificate, PlantModel, certify_gain
+from .certify import ContractionCertificate, PlantModel, _gain_pair, certify_gain
 from .graph import (
     ReductionBasis,
     WeightedDigraph,
-    has_spanning_tree,
-    is_balanced,
     laplacian,
     pool_band,
     random_balanced_graph,
@@ -120,6 +118,14 @@ class SimulationConfig:
     verify_step_forms: bool = False
 
     def __post_init__(self):
+        # pools first, so a bad pool fails with pool_band's message, as in certify
+        if not isinstance(self.topology, TopologyRecipe):
+            self.topology = list(self.topology)
+            if not all(isinstance(g, WeightedDigraph) for g in self.topology):
+                raise TypeError("topology pool entries must be WeightedDigraph")
+            pool_band(self.topology)
+            if self.topology[0].n != self.n_agents:
+                raise ValueError("pool graph size does not match n_agents")
         if self.n_agents < 2:
             raise ValueError("consensus needs at least two agents")
         if self.steps < 1 or self.runs < 1:
@@ -133,22 +139,11 @@ class SimulationConfig:
         if (self.design is None) == (self.gain is None):
             raise ValueError("exactly one of design or gain must be set")
         if self.gain is not None:
-            self.gain = np.asarray(self.gain, dtype=float)
-            if self.gain.shape != (self.plant.m, self.plant.n):
-                raise ValueError(
-                    f"gain must be {self.plant.m}x{self.plant.n}, got {self.gain.shape}"
-                )
-            if self.transform is None:
-                self.transform = np.eye(self.plant.n)
-            self.transform = np.asarray(self.transform, dtype=float)
-            if self.transform.shape != (self.plant.n, self.plant.n):
-                raise ValueError(f"transform must be {self.plant.n}x{self.plant.n}")
-            if abs(np.linalg.det(self.transform)) < 1e-300:
-                raise ValueError("transform must be invertible")
+            self.gain, self.transform = _gain_pair(self.plant, self.gain, self.transform)
         elif self.transform is not None:
             raise ValueError("transform goes with a raw gain; a design carries its own")
-        if self.design is not None and self.design.K.shape != (self.plant.m, self.plant.n):
-            raise ValueError("design gain shape does not match the plant")
+        else:
+            _gain_pair(self.plant, self.design.K, self.design.T)
         if self.switch_period is not None and self.switch_period < 1:
             raise ValueError("switch_period must be positive (or None to never switch)")
         if len(self.init_bounds) != self.plant.n:
@@ -156,21 +151,6 @@ class SimulationConfig:
         for lo, hi in self.init_bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError("init bounds must be finite with lo <= hi")
-        if isinstance(self.topology, TopologyRecipe):
-            return
-        pool = list(self.topology)
-        if not pool:
-            raise ValueError("topology pool must not be empty")
-        for g in pool:
-            if not isinstance(g, WeightedDigraph):
-                raise TypeError("topology pool entries must be WeightedDigraph")
-            if g.n != self.n_agents:
-                raise ValueError("pool graph size does not match n_agents")
-            if not is_balanced(g):
-                raise ValueError("pool graphs must be balanced")
-            if not has_spanning_tree(g):
-                raise ValueError("pool graphs must have a spanning tree")
-        self.topology = pool
 
 
 @dataclass

@@ -91,7 +91,6 @@ class GainDesign:
     K: np.ndarray
 
     def __post_init__(self):
-        _check_mu(self.mu1, self.mu2)
         T = np.asarray(self.T, dtype=float)
         K = np.asarray(self.K, dtype=float)
         if T.shape != (2, 2) or K.shape != (1, 2):
@@ -139,9 +138,7 @@ def abstract_consistency(a: float, b: float, c: float, d: float) -> bool:
 
     Holds if and only if b > c and a + d > c.
     """
-    for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"limit {name} must be positive and finite")
+    InequalityLimits(a, b, c, d)  # the limits' own positivity rule
     return b > c and a + d > c
 
 

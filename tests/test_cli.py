@@ -253,13 +253,51 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     )
     misspelled = sim_config_dict(schedule={"switch_perod": 10})
     extra_sampling = sim_config_dict(sampling={"hbar": 3, "hmin": 0.1})
-    for name, cfg in (("unknown", unknown), ("one_agent", one_agent),
-                      ("no_graph_fits", no_graph_fits), ("misspelled", misspelled),
-                      ("extra_sampling", extra_sampling)):
+    # booleans and integer fields take no strings, fractions or other types
+    quoted_false = sim_config_dict(output={"full_state": "false"})
+    quoted_no = sim_config_dict(output={"full_state": "no"})
+    fractional_runs = sim_config_dict(batch={"runs": 2.5, "seed": 1})
+    fractional_seed = sim_config_dict(batch={"runs": 2, "seed": 1.9})
+    boolean_runs = sim_config_dict(batch={"runs": True, "seed": 1})
+    fractional_grid = sim_config_dict(certify={"grid": [20.9, 3.9]})
+    short_grid = sim_config_dict(certify={"grid": [200]})
+    for name, cfg, field in (("unknown", unknown, ""), ("one_agent", one_agent, ""),
+                             ("no_graph_fits", no_graph_fits, ""),
+                             ("misspelled", misspelled, ""),
+                             ("extra_sampling", extra_sampling, ""),
+                             ("quoted_false", quoted_false, "output.full_state"),
+                             ("quoted_no", quoted_no, "output.full_state"),
+                             ("fractional_runs", fractional_runs, "batch.runs"),
+                             ("fractional_seed", fractional_seed, "batch.seed"),
+                             ("boolean_runs", boolean_runs, "batch.runs"),
+                             ("fractional_grid", fractional_grid, "certify.grid"),
+                             ("short_grid", short_grid, "certify.grid")):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
-        assert capsys.readouterr().err.startswith("error: "), name
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), name
+        assert field in err, (name, err)
+        assert not (tmp_path / name).exists(), name
+    for name in ("fractional_grid", "short_grid"):
+        for gain in ({}, {"gain": RAW_GAIN}):
+            cfg = yaml.safe_load((tmp_path / f"{name}.yaml").read_text())
+            if gain:
+                del cfg["design"]
+            path = write_yaml(tmp_path / "certify.yaml", {**cfg, **gain})
+            assert cli.main(["certify", "--config", path]) == cli.EXIT_USAGE, (name, gain)
+            assert "certify.grid" in capsys.readouterr().err, (name, gain)
+
+
+def test_whole_number_fields_resolve_as_before():
+    cfg = sim_config_dict(batch={"runs": 2.0, "seed": 7.0}, certify={"grid": [20.0, 3]})
+    resolved = cli.resolve_config(cfg)
+    assert resolved["batch"] == {"runs": 2, "seed": 7}
+    assert resolved["certify"]["grid"] == [20, 3]
+    assert all(type(v) is int for v in (*resolved["batch"].values(), *resolved["certify"]["grid"]))
+    assert resolved == cli.resolve_config(
+        sim_config_dict(batch={"runs": 2, "seed": 7}, certify={"grid": [20, 3]})
+    )
 
 
 def test_simulate_with_graph_file_pool(tmp_path):
@@ -327,6 +365,71 @@ def test_simulate_refuses_exactly_when_certify_does_not_certify(tmp_path, overri
     rc_simulate = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert (rc_certify == cli.EXIT_OK) == certified
     assert rc_simulate == (cli.EXIT_OK if certified else cli.EXIT_UNCERTIFIED)
+
+
+BAD_POOLS = {
+    # balanced, but nodes 1-2 never hear from node 3
+    "disconnected": {"a.graph": "3 symmetric\n1 2 1.0\n"},
+    "mixed-node-counts": {
+        "a.graph": "2 symmetric\n1 2 1.0\n",
+        "b.graph": "3 symmetric\n1 2 1.0\n2 3 1.0\n",
+    },
+    "unbalanced": {"a.graph": "2\n1 2 1.0\n"},
+    "single-node": {"a.graph": "1\n"},
+    "empty": {},
+}
+
+
+@pytest.mark.parametrize("gain", [None, RAW_GAIN], ids=["design", "raw-gain-with-T"])
+@pytest.mark.parametrize("pool", sorted(BAD_POOLS))
+def test_certify_and_simulate_reject_the_same_pools(tmp_path, capsys, pool, gain):
+    for name, text in BAD_POOLS[pool].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = sim_config_dict(topology={"graphs": sorted(BAD_POOLS[pool])})
+    if gain is not None:
+        del cfg["design"]
+        cfg["gain"] = gain
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", path]) == cli.EXIT_USAGE
+    certify_err = capsys.readouterr().err
+    rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == certify_err
+    assert certify_err.startswith("error: "), certify_err
+
+
+def schema_fields(table=cli._SCHEMA, prefix=()):
+    """Every section and field path of the config schema, nested ones included."""
+    for key, (coerce, _) in table.items():
+        yield prefix + (key,)
+        if isinstance(coerce, dict):
+            yield from schema_fields(coerce, prefix + (key,))
+
+
+def test_no_bad_schema_value_escapes_main(tmp_path, capsys):
+    # bad configs exit 2, never with a traceback; whichever object checks a value
+    base = sim_config_dict(
+        topology={"random": {"agents": 3, "lambda_band": [0.3, 6.0], "pool_size": 2}},
+        schedule={"steps": 4, "switch_period": 2},
+        batch={"runs": 2, "seed": 3},
+    )
+    with_gain = {k: v for k, v in base.items() if k != "design"}
+    with_gain.update(gain=RAW_GAIN, certify={"grid": [8, 4]})
+    fields = list(schema_fields())
+    assert ("topology", "random", "edge_prob") in fields and ("output", "full_state") in fields
+    for field in fields:
+        for value in ("x", 2.5, True, -1, [1, "a"], {"a": 1}):
+            cfg = json.loads(json.dumps(with_gain if field[0] == "gain" else base))
+            node = cfg
+            for key in field[:-1]:
+                node = node.setdefault(key, {})
+            node[field[-1]] = value
+            path = write_yaml(tmp_path / "cfg.yaml", cfg)
+            for command in (["certify"], ["simulate", "--out", str(tmp_path / "out")]):
+                rc = cli.main([*command, "--config", path])
+                assert rc in (0, 1, 2, 3, 4), (field, value, command)
+            capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
