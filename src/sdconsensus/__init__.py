@@ -7,7 +7,6 @@ under nonuniform sampling with switching balanced topologies.
 
 from .certify import (
     ContractionCertificate,
-    DiscretizedPlant,
     PlantModel,
     certify_double_integrator,
     certify_gain,
@@ -18,7 +17,6 @@ from .certify import (
 )
 from .graph import (
     GraphBandError,
-    ReductionBasis,
     SpectrumSummary,
     UnsupportedGraphError,
     WeightedDigraph,

@@ -29,7 +29,6 @@ from .synthesis import DesignSpec, GainDesign, check_gain_inequalities
 
 __all__ = [
     "PlantModel",
-    "DiscretizedPlant",
     "ContractionCertificate",
     "closed_loop_matrix",
     "transformed_entries",
@@ -94,53 +93,29 @@ class PlantModel:
     def general(cls, A, B) -> "PlantModel":
         return cls(A, B, GENERAL)
 
-    def discretize(self, h: float) -> "DiscretizedPlant":
-        """Exact zero-order-hold pair (F(h), G(h)).
+    def discretize(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """Exact zero-order-hold pair (F(h), G(h)) for an interval or an array
+        of intervals ``h``.
 
-        The double integrator uses its closed form ([[1, h], [0, 1]] and
-        [[h^2/2], [h]], exact up to rounding); general plants go through the
-        matrix exponential.
-        """
-        h = float(h)
-        if not (math.isfinite(h) and h >= 0.0):
-            raise ValueError("h must be finite and nonnegative")
-        if self.kind == DOUBLE_INTEGRATOR:
-            F = np.array([[1.0, h], [0.0, 1.0]])
-            G = np.array([[0.5 * h * h], [h]])
-        else:
-            F = numerics.expm(self.A, h)
-            G = numerics.expm_integral(self.A, self.B, h)
-        return DiscretizedPlant(F, G, h)
-
-    def discretize_many(self, h) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``discretize``: (F, G) for every interval of the array ``h``.
-
-        Returns arrays of shape h.shape + (n, n) and h.shape + (n, m) with
-        the same values as one ``discretize`` call per interval; the double
-        integrator evaluates its closed form on the whole array at once.
+        Returns arrays of shape h.shape + (n, n) and h.shape + (n, m).  The
+        double integrator evaluates its closed form ([[1, h], [0, 1]] and
+        [[h^2/2], [h]], exact up to rounding) on the whole array; general
+        plants go through the matrix exponential once per interval.
         """
         h = np.asarray(h, dtype=float)
-        if not (np.all(np.isfinite(h)) and np.all(h >= 0.0)):
+        if not (np.isfinite(h) & (h >= 0.0)).all():
             raise ValueError("h must be finite and nonnegative")
         if self.kind == DOUBLE_INTEGRATOR:
             F = np.zeros(h.shape + (2, 2))
             F[..., 0, 0] = F[..., 1, 1] = 1.0
             F[..., 0, 1] = h
-            G = np.stack([0.5 * h * h, h], axis=-1)[..., None]
+            G = np.empty(h.shape + (2, 1))
+            G[..., 0, 0] = 0.5 * h * h
+            G[..., 1, 0] = h
             return F, G
-        pairs = [self.discretize(v) for v in h.ravel()]
-        F = np.array([p.F for p in pairs]).reshape(h.shape + (self.n, self.n))
-        G = np.array([p.G for p in pairs]).reshape(h.shape + (self.n, self.m))
-        return F, G
-
-
-@dataclass(frozen=True)
-class DiscretizedPlant:
-    """Zero-order-hold discretization (F, G) at a specific interval h."""
-
-    F: np.ndarray
-    G: np.ndarray
-    h: float
+        F = np.array([numerics.expm(self.A, v) for v in h.ravel()])
+        G = np.array([numerics.expm_integral(self.A, self.B, v) for v in h.ravel()])
+        return F.reshape(h.shape + self.A.shape), G.reshape(h.shape + self.B.shape)
 
 
 @dataclass(frozen=True)
@@ -193,8 +168,8 @@ def closed_loop_matrix(plant: PlantModel, K, lam, h: float) -> np.ndarray:
     Complex for complex lambda (eigenvalues of directed topologies).
     """
     K, _ = _gain_pair(plant, K, None)
-    dp = plant.discretize(h)
-    return dp.F - lam * (dp.G @ K)
+    F, G = plant.discretize(h)
+    return F - lam * (G @ K)
 
 
 def transformed_entries(h: float, lam: float, dsn: GainDesign) -> np.ndarray:
@@ -220,9 +195,11 @@ def _gain_pair(plant: PlantModel, K, T) -> tuple[np.ndarray, np.ndarray]:
     """A feedback K and its transform T (the identity when None) as float
     arrays, checked against the plant: the one rule for a gain under T."""
     K = np.asarray(K, dtype=float)
-    T = np.eye(plant.n) if T is None else np.asarray(T, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+    if T is None:
+        return K, np.eye(plant.n)
+    T = np.asarray(T, dtype=float)
     if T.shape != (plant.n, plant.n):
         raise ValueError("T must be square with the plant dimension")
     if abs(np.linalg.det(T)) < 1e-300:
@@ -243,12 +220,13 @@ def _worst_sample(
     occurs."""
     h_samples = hbar * np.arange(1, nh + 1) / nh
     Tinv = np.linalg.inv(T)
+    F, G = plant.discretize(h_samples)
+    base = Tinv @ F @ T
+    coupling = Tinv @ (G @ K) @ T
     sigmas = np.empty((nh, len(lam_samples)))
-    for i, h in enumerate(h_samples):
-        dp = plant.discretize(h)
-        base = Tinv @ dp.F @ T
-        coupling = Tinv @ (dp.G @ K) @ T
-        stack = base[None, :, :] - lam_samples[:, None, None] * coupling[None, :, :]
+    # one h row at a time: a whole (nh, n_lambda) stack would dominate memory
+    for i in range(nh):
+        stack = base[i] - lam_samples[:, None, None] * coupling[i]
         sigmas[i] = numerics.max_singular_values(stack)
     i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
     return float(sigmas[i, j]), (float(h_samples[i]), complex(lam_samples[j]))
@@ -400,10 +378,10 @@ def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float
     lbar = np.asarray(reduced_lap, dtype=float)
     if lbar.ndim != 2 or lbar.shape[0] != lbar.shape[1]:
         raise ValueError("reduced Laplacian must be square")
-    dp = plant.discretize(h)
+    F, G = plant.discretize(h)
     n_modes = lbar.shape[0]
     eye = np.eye(n_modes)
-    phi = np.kron(eye, dp.F) - np.kron(lbar, dp.G @ K)
+    phi = np.kron(eye, F) - np.kron(lbar, G @ K)
     Tinv = np.linalg.inv(T)
     phi_hat = np.kron(eye, Tinv) @ phi @ np.kron(eye, T)
     return numerics.max_singular_value(phi_hat)

@@ -89,6 +89,30 @@ def _flag(value) -> bool:
     return value
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"expected text, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    """Coercion of a text field that takes one of ``options``."""
+    def choice(value) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise ConfigError(f"expected one of {list(options)}, got {value!r}")
+        return value
+    return choice
+
+
+def _list(coerce):
+    """Coercion of a list whose entries go through ``coerce``."""
+    def items(values) -> list:
+        if not isinstance(values, list):
+            raise ConfigError(f"expected a list, got {values!r}")
+        return [coerce(v) for v in values]
+    return items
+
+
 def _pair(coerce):
     """Coercion of a two-element list whose entries go through ``coerce``."""
     def pair(values) -> list:
@@ -102,14 +126,14 @@ def _pair(coerce):
 # the field table of a nested mapping; a null value counts as missing.
 _SCHEMA = {
     "plant": ({
-        "kind": (str, "double_integrator"),
+        "kind": (_choice("double_integrator", "general"), "double_integrator"),
         "A": (_matrix, _OMITTED),
         "B": (_matrix, _OMITTED),
     }, {}),
     "design": ({"lambda2": (float, _REQUIRED), "lambdaN": (float, _REQUIRED)}, None),
     "gain": ({"K": (_matrix, _REQUIRED), "T": (_matrix, None)}, None),
     "topology": ({
-        "graphs": (lambda paths: [str(p) for p in paths], _OMITTED),
+        "graphs": (_list(_text), _OMITTED),
         "random": ({
             "agents": (_whole, _REQUIRED),
             "lambda_band": (_pair(float), _REQUIRED),
@@ -122,14 +146,11 @@ _SCHEMA = {
     "schedule": ({"steps": (_whole, 1000), "switch_period": (_whole, None)}, {}),
     "batch": ({"runs": (_whole, 100), "seed": (_whole, 0)}, {}),
     "init": ({
-        "bounds": (
-            lambda bounds: [_pair(float)(b) for b in bounds],
-            [[-10.0, 10.0], [-1.0, 1.0]],
-        ),
+        "bounds": (_list(_pair(float)), [[-10.0, 10.0], [-1.0, 1.0]]),
     }, {}),
-    "output": ({"dir": (str, "out"), "full_state": (_flag, False)}, {}),
+    "output": ({"dir": (_text, "out"), "full_state": (_flag, False)}, {}),
     "certify": ({
-        "mode": (str, "band"),
+        "mode": (_choice("band", "fixed"), "band"),
         "grid": (_pair(_whole), [200, 200]),
         "guard": (float, 1e-6),
     }, {}),
@@ -175,8 +196,6 @@ def resolve_config(raw: dict) -> dict:
     """
     resolved = _fill(_SCHEMA, raw)
     plant, sampling, topology = resolved["plant"], resolved["sampling"], resolved["topology"]
-    if plant["kind"] not in ("double_integrator", "general"):
-        raise ConfigError(f"unknown plant kind {plant['kind']!r}")
     if plant["kind"] == "general" and ("A" not in plant or "B" not in plant):
         raise ConfigError("general plant needs A and B matrices")
     sampling.setdefault("h_min", sampling["hbar"] * 1e-3)
@@ -184,13 +203,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("config needs exactly one of a design or a gain section")
     if topology is not None and ("graphs" in topology) == ("random" in topology):
         raise ConfigError("topology needs exactly one of graphs or random")
-    if resolved["certify"]["mode"] not in ("band", "fixed"):
-        raise ConfigError(f"unknown certify mode {resolved['certify']['mode']!r}")
     return resolved
-
-
-def serialize_config(resolved: dict) -> str:
-    return yaml.safe_dump(resolved, sort_keys=True)
 
 
 def config_digest(resolved: dict) -> str:
@@ -239,16 +252,6 @@ def read_graph_file(path) -> WeightedDigraph:
         return WeightedDigraph(w)
     except ValueError as exc:
         raise ConfigError(f"invalid graph in {path}: {exc}") from exc
-
-
-def write_graph_file(path, g: WeightedDigraph, symmetric: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{g.n} symmetric\n" if symmetric else f"{g.n}\n")
-        w = g.weights
-        for i in range(g.n):
-            for j in range(g.n):
-                if w[i, j] != 0.0 and (not symmetric or i < j):
-                    f.write(f"{i + 1} {j + 1} {_fmt(w[i, j])}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +500,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _axis(lo: float, hi: float, n: float) -> np.ndarray:
+def _axis(name: str, lo: float, hi: float, n: float) -> np.ndarray:
+    if n % 1:
+        raise ConfigError(f"{name} needs a whole number of points, got {n!r}")
     n = int(n)
     if n < 1 or hi < lo:
-        raise ConfigError("axis needs lo <= hi and at least one point")
+        raise ConfigError(f"{name} needs lo <= hi and at least one point")
     if lo == hi:
         return np.array([lo])
     return np.linspace(lo, hi, n)
 
 
 def cmd_sweep(args) -> int:
-    hbars = _axis(*args.hbar_axis)
-    ratios = _axis(*args.ratio_axis)
+    hbars = _axis("--hbar-axis", *args.hbar_axis)
+    ratios = _axis("--ratio-axis", *args.ratio_axis)
     if (args.mu1 is None) != (args.mu2 is None):
         raise ConfigError("give both --mu1 and --mu2 or neither")
     plant = PlantModel.double_integrator()

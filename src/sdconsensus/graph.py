@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "WeightedDigraph",
     "SpectrumSummary",
-    "ReductionBasis",
     "UnsupportedGraphError",
     "GraphBandError",
     "laplacian",
@@ -103,20 +102,6 @@ class SpectrumSummary:
     eigenvalues: np.ndarray
     lambda2: float
     lambdaN: float
-
-
-@dataclass(frozen=True)
-class ReductionBasis:
-    """Orthonormal basis of the subspace orthogonal to the all-ones vector.
-
-    ``mbar`` is N x (N-1) with mbar.T @ mbar = I and mbar.T @ ones = 0.
-    """
-
-    mbar: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.mbar.shape[0]
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -209,11 +194,13 @@ def pool_band(pool) -> tuple[float, float]:
     return min(lows), max(highs)
 
 
-def reduction_basis(n: int) -> ReductionBasis:
+def reduction_basis(n: int) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of span{ones}.
 
-    Columns are the classical Helmert directions: column j balances j equal
-    positive entries against one entry of weight -j, normalized.
+    The frozen n x (n-1) matrix mbar with mbar.T @ mbar = I and
+    mbar.T @ ones = 0.  Columns are the classical Helmert directions: column
+    j balances j equal positive entries against one entry of weight -j,
+    normalized.
     """
     if n < 2:
         raise ValueError("reduction basis needs n >= 2")
@@ -223,11 +210,12 @@ def reduction_basis(n: int) -> ReductionBasis:
         m[:j, j - 1] = scale
         m[j, j - 1] = -j * scale
     m.setflags(write=False)
-    return ReductionBasis(m)
+    return m
 
 
-def reduced_laplacian(g: WeightedDigraph, basis: ReductionBasis) -> np.ndarray:
-    """Project the Laplacian onto the disagreement subspace: mbar.T L mbar.
+def reduced_laplacian(g: WeightedDigraph, basis: np.ndarray) -> np.ndarray:
+    """Project the Laplacian onto the disagreement subspace: basis.T L basis,
+    with ``basis`` the matrix mbar of ``reduction_basis``.
 
     For balanced graphs the result is symmetric and its eigenvalues are the
     Laplacian eigenvalues with one zero removed.  Non-balanced graphs are
@@ -236,9 +224,9 @@ def reduced_laplacian(g: WeightedDigraph, basis: ReductionBasis) -> np.ndarray:
     """
     if not is_balanced(g):
         raise UnsupportedGraphError("reduced_laplacian requires a balanced graph")
-    if basis.n != g.n:
-        raise ValueError(f"basis is for {basis.n} nodes, graph has {g.n}")
-    return basis.mbar.T @ laplacian(g) @ basis.mbar
+    if basis.shape[0] != g.n:
+        raise ValueError(f"basis is for {basis.shape[0]} nodes, graph has {g.n}")
+    return basis.T @ laplacian(g) @ basis
 
 
 def consensus_eigenvalues(g: WeightedDigraph) -> np.ndarray:
@@ -250,8 +238,8 @@ def consensus_eigenvalues(g: WeightedDigraph) -> np.ndarray:
     complement of ones and L annihilates ones).  Complex in general; sorted
     by (real, imag) for determinism.
     """
-    basis = reduction_basis(g.n)
-    ev = np.linalg.eigvals(basis.mbar.T @ laplacian(g) @ basis.mbar)
+    mbar = reduction_basis(g.n)
+    ev = np.linalg.eigvals(mbar.T @ laplacian(g) @ mbar)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
 

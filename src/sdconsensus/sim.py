@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import ContractionCertificate, PlantModel, _gain_pair, certify_gain
-from .graph import (
-    ReductionBasis,
-    WeightedDigraph,
-    laplacian,
-    pool_band,
-    random_balanced_graph,
-)
+from .graph import WeightedDigraph, laplacian, pool_band, random_balanced_graph
 from .synthesis import GainDesign
 
 __all__ = [
@@ -245,14 +239,12 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape != (g.n, plant.n):
         raise ValueError(f"state must be {g.n}x{plant.n}, got {X.shape}")
-    K = np.asarray(K, dtype=float)
-    if K.shape != (plant.m, plant.n):
-        raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+    K, _ = _gain_pair(plant, K, None)
     if not h > 0.0:
         raise ValueError("h must be positive")
-    dp = plant.discretize(h)
+    F, G = plant.discretize(h)
     W = g.weights
-    return _advance(X[None], W, W.sum(axis=1), dp.F[None], (dp.G @ K)[None])[0]
+    return _advance(X[None], W, W.sum(axis=1), F[None], (G @ K)[None])[0]
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -262,10 +254,10 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     """
     X = np.asarray(state, dtype=float)
     K = np.asarray(K, dtype=float)
-    dp = plant.discretize(h)
+    F, G = plant.discretize(h)
     eye_cols = _kron_columns(np.eye(g.n), plant.n)
     lap_cols = _kron_columns(laplacian(g), plant.n)
-    return _advance_kronecker(X[None], eye_cols, lap_cols, dp.F[None], (dp.G @ K)[None])[0]
+    return _advance_kronecker(X[None], eye_cols, lap_cols, F[None], (G @ K)[None])[0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:
@@ -283,16 +275,16 @@ def disagreement(state) -> float:
     return float(_disagreements(X[None])[0])
 
 
-def reduced_norm(state, basis: ReductionBasis, T) -> float:
+def reduced_norm(state, basis: np.ndarray, T) -> float:
     """Euclidean norm of the transformed reduced state (I kron T^-1) xi.
 
     xi is the projection of the stacked state onto the disagreement
-    subspace; the norm is zero exactly at agreement and contracts strictly
-    under a certified gain.
+    subspace spanned by ``basis`` (``graph.reduction_basis``); the norm is
+    zero exactly at agreement and contracts strictly under a certified gain.
     """
     X = np.asarray(state, dtype=float)
-    if X.ndim != 2 or X.shape[0] != basis.n:
-        raise ValueError(f"state must have {basis.n} rows, got {X.shape}")
+    if X.ndim != 2 or X.shape[0] != basis.shape[0]:
+        raise ValueError(f"state must have {basis.shape[0]} rows, got {X.shape}")
     Tinv = np.linalg.inv(np.asarray(T, dtype=float))
     return float(_reduced_norms(X[None], Tinv)[0])
 
@@ -400,7 +392,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             idx = np.flatnonzero(active == g)
             W = pool[g].weights
             deg = W.sum(axis=1)
-            F, G = config.plant.discretize_many(h[idx, start:stop].T)
+            F, G = config.plant.discretize(h[idx, start:stop].T)
             GK = G @ K
             if verify:
                 lap_cols = _kron_columns(laplacian(pool[g]), n_states)

@@ -248,11 +248,11 @@ def test_criterion_5_discretization_exactness():
             continue
         F_exp = np.array([[1.0, h], [0.0, 1.0]])
         G_exp = np.array([[0.5 * h * h], [h]])
-        dp = plant.discretize(h)
+        F, G = plant.discretize(h)
         worst_fast = max(
             worst_fast,
-            np.abs(dp.F - F_exp).max(),
-            np.abs(dp.G - G_exp).max(),
+            np.abs(F - F_exp).max(),
+            np.abs(G - G_exp).max(),
         )
         # general matrix-exponential route: ulp-level agreement relative to
         # the entry scale (G entries reach 50 at h = 10)

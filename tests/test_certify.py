@@ -51,30 +51,32 @@ def test_plant_validation():
 
 def test_discretize_double_integrator_closed_form(di_plant):
     for h in (0.0, 0.25, 3.0):
-        dp = di_plant.discretize(h)
-        np.testing.assert_array_equal(dp.F, [[1.0, h], [0.0, 1.0]])
-        np.testing.assert_array_equal(dp.G, [[0.5 * h * h], [h]])
+        F, G = di_plant.discretize(h)
+        np.testing.assert_array_equal(F, [[1.0, h], [0.0, 1.0]])
+        np.testing.assert_array_equal(G, [[0.5 * h * h], [h]])
 
 
 def test_discretize_general_matches_closed_form():
     plant = PlantModel.general([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
-    dp = plant.discretize(1.7)
-    np.testing.assert_allclose(dp.F, [[1.0, 1.7], [0.0, 1.0]], atol=1e-14)
-    np.testing.assert_allclose(dp.G, [[0.5 * 1.7**2], [1.7]], atol=1e-13)
+    F, G = plant.discretize(1.7)
+    np.testing.assert_allclose(F, [[1.0, 1.7], [0.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(G, [[0.5 * 1.7**2], [1.7]], atol=1e-13)
 
 
-def test_discretize_many_equals_discretize_per_interval(di_plant):
+def test_discretize_array_equals_per_interval_calls(di_plant):
     h = np.random.default_rng(0).uniform(0.0, 3.0, size=(3, 4))
     general = PlantModel.general([[0.0, 1.0], [-2.0, -0.5]], [[0.0, 1.0], [1.0, 0.0]])
     for plant in (di_plant, general):
-        F, G = plant.discretize_many(h)
+        F, G = plant.discretize(h)
         assert F.shape == (3, 4, 2, 2) and G.shape == (3, 4, 2, plant.m)
         for idx in np.ndindex(h.shape):
-            dp = plant.discretize(h[idx])
-            np.testing.assert_array_equal(F[idx], dp.F)
-            np.testing.assert_array_equal(G[idx], dp.G)
-    with pytest.raises(ValueError):
-        di_plant.discretize_many([0.5, -1.0])
+            F1, G1 = plant.discretize(float(h[idx]))
+            assert F1.shape == (2, 2) and G1.shape == (2, plant.m)
+            np.testing.assert_array_equal(F[idx], F1)
+            np.testing.assert_array_equal(G[idx], G1)
+        for bad in ([0.5, -1.0], -1.0, [[0.5], [np.inf]], np.nan):
+            with pytest.raises(ValueError):
+                plant.discretize(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_closed_loop_matrix_double_integrator_formula(di_plant):
 def test_closed_loop_matrix_zero_lambda_is_open_loop(di_plant):
     K = np.array([[0.3, 0.4]])
     got = closed_loop_matrix(di_plant, K, 0.0, 1.3)
-    np.testing.assert_array_equal(got, di_plant.discretize(1.3).F)
+    np.testing.assert_array_equal(got, di_plant.discretize(1.3)[0])
 
 
 def test_closed_loop_matrix_zero_interval_is_identity(di_plant):
@@ -109,8 +111,8 @@ def test_closed_loop_matrix_complex_lambda(di_plant):
     K = np.array([[0.3, 0.4]])
     lam = 1.0 + 0.5j
     got = closed_loop_matrix(di_plant, K, lam, 0.9)
-    dp = di_plant.discretize(0.9)
-    np.testing.assert_allclose(got, dp.F - lam * (dp.G @ K), atol=1e-14)
+    F, G = di_plant.discretize(0.9)
+    np.testing.assert_allclose(got, F - lam * (G @ K), atol=1e-14)
     assert np.iscomplexobj(got)
 
 

@@ -9,7 +9,6 @@ import pytest
 import yaml
 
 from sdconsensus import cli
-from sdconsensus.graph import WeightedDigraph
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -261,6 +260,14 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     boolean_runs = sim_config_dict(batch={"runs": True, "seed": 1})
     fractional_grid = sim_config_dict(certify={"grid": [20.9, 3.9]})
     short_grid = sim_config_dict(certify={"grid": [200]})
+    # text fields take text only, choice fields one of their choices
+    mapping_dir = sim_config_dict(output={"dir": {"a": 1}})
+    number_dir = sim_config_dict(output={"dir": 7})
+    unknown_kind = sim_config_dict(plant={"kind": "triple_integrator"})
+    list_kind = sim_config_dict(plant={"kind": ["general"]})
+    unknown_mode = sim_config_dict(certify={"mode": "exact"})
+    graphs_text = sim_config_dict(topology={"graphs": "g.graph"})
+    graphs_number = sim_config_dict(topology={"graphs": [3]})
     for name, cfg, field in (("unknown", unknown, ""), ("one_agent", one_agent, ""),
                              ("no_graph_fits", no_graph_fits, ""),
                              ("misspelled", misspelled, ""),
@@ -271,7 +278,14 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                              ("fractional_seed", fractional_seed, "batch.seed"),
                              ("boolean_runs", boolean_runs, "batch.runs"),
                              ("fractional_grid", fractional_grid, "certify.grid"),
-                             ("short_grid", short_grid, "certify.grid")):
+                             ("short_grid", short_grid, "certify.grid"),
+                             ("mapping_dir", mapping_dir, "output.dir"),
+                             ("number_dir", number_dir, "output.dir"),
+                             ("unknown_kind", unknown_kind, "plant.kind"),
+                             ("list_kind", list_kind, "plant.kind"),
+                             ("unknown_mode", unknown_mode, "certify.mode"),
+                             ("graphs_text", graphs_text, "topology.graphs"),
+                             ("graphs_number", graphs_number, "topology.graphs")):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
@@ -499,6 +513,8 @@ def test_sweep_rejects_empty_grid(capsys):
         ["--hbar-axis", "0", "1", "2", "--ratio-axis", "1", "2", "3"],
         axes + ["--lambda2", "-1"],
         axes + ["--mu1", "5", "--mu2", "1"],
+        ["--hbar-axis", "1", "2", "2.5", "--ratio-axis", "1", "2", "3"],
+        ["--hbar-axis", "1", "2", "3", "--ratio-axis", "1", "2", "inf"],
     ):
         capsys.readouterr()
         assert cli.main(["sweep", *bad]) == cli.EXIT_USAGE, bad
@@ -512,7 +528,7 @@ def test_sweep_rejects_empty_grid(capsys):
 def test_config_round_trip(tmp_path):
     path = write_yaml(tmp_path / "cfg.yaml", sim_config_dict())
     resolved = cli.resolve_config(cli.load_config(path))
-    text = cli.serialize_config(resolved)
+    text = yaml.safe_dump(resolved, sort_keys=True)
     again = cli.resolve_config(yaml.safe_load(text))
     assert resolved == again
 
@@ -566,9 +582,8 @@ def test_resolve_config_rejects_design_and_gain():
 
 def test_graph_file_round_trip(tmp_path):
     w = np.array([[0.0, 1.5, 0.0], [1.5, 0.0, 0.25], [0.0, 0.25, 0.0]])
-    g = WeightedDigraph(w)
     path = tmp_path / "g.graph"
-    cli.write_graph_file(path, g, symmetric=True)
+    path.write_text("3 symmetric\n1 2 1.5\n2 3 0.25\n", encoding="utf-8")
     back = cli.read_graph_file(path)
     np.testing.assert_array_equal(back.weights, w)
 

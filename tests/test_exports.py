@@ -31,8 +31,22 @@ def test_package_exports_nothing_outside_module_all():
     assert public == declared
 
 
-@pytest.mark.parametrize("attr", ["search_design", "laplacian_disc_radius"])
+@pytest.mark.parametrize(
+    "attr", ["search_design", "laplacian_disc_radius", "DiscretizedPlant", "ReductionBasis"]
+)
 def test_removed_study_api_is_gone(attr):
     assert not hasattr(sdconsensus, attr)
     for name in MODULES:
         assert not hasattr(module_exports(name)[0], attr)
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [
+        (sdconsensus.PlantModel, "discretize_many"),
+        (importlib.import_module("sdconsensus.cli"), "serialize_config"),
+        (importlib.import_module("sdconsensus.cli"), "write_graph_file"),
+    ],
+)
+def test_removed_test_only_helpers_are_gone(owner, attr):
+    assert not hasattr(owner, attr)

@@ -177,14 +177,14 @@ def test_spectrum_inside_gershgorin_disc():
 def test_reduction_basis_two_agents():
     basis = reduction_basis(2)
     np.testing.assert_allclose(
-        np.abs(basis.mbar[:, 0]), [1.0 / np.sqrt(2.0)] * 2, rtol=1e-15
+        np.abs(basis[:, 0]), [1.0 / np.sqrt(2.0)] * 2, rtol=1e-15
     )
-    assert basis.mbar[0, 0] * basis.mbar[1, 0] < 0.0
+    assert basis[0, 0] * basis[1, 0] < 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 500])
 def test_reduction_basis_invariants(n):
-    mbar = reduction_basis(n).mbar
+    mbar = reduction_basis(n)
     np.testing.assert_allclose(mbar.T @ mbar, np.eye(n - 1), rtol=0.0, atol=1e-12)
     assert np.abs(mbar.T @ np.ones(n)).max() < 1e-12
 
