@@ -11,7 +11,6 @@ from .certify import (
     certify_double_integrator,
     certify_gain,
     certify_grid,
-    closed_loop_matrix,
     network_contraction,
     transformed_entries,
 )

@@ -30,7 +30,6 @@ from .synthesis import DesignSpec, GainDesign, check_gain_inequalities
 __all__ = [
     "PlantModel",
     "ContractionCertificate",
-    "closed_loop_matrix",
     "transformed_entries",
     "certify_double_integrator",
     "certify_grid",
@@ -100,7 +99,7 @@ class PlantModel:
         Returns arrays of shape h.shape + (n, n) and h.shape + (n, m).  The
         double integrator evaluates its closed form ([[1, h], [0, 1]] and
         [[h^2/2], [h]], exact up to rounding) on the whole array; general
-        plants go through the matrix exponential once per interval.
+        plants take one stacked matrix exponential for F and one for G.
         """
         h = np.asarray(h, dtype=float)
         if not (np.isfinite(h) & (h >= 0.0)).all():
@@ -113,9 +112,7 @@ class PlantModel:
             G[..., 0, 0] = 0.5 * h * h
             G[..., 1, 0] = h
             return F, G
-        F = np.array([numerics.expm(self.A, v) for v in h.ravel()])
-        G = np.array([numerics.expm_integral(self.A, self.B, v) for v in h.ravel()])
-        return F.reshape(h.shape + self.A.shape), G.reshape(h.shape + self.B.shape)
+        return numerics.expm(self.A, h), numerics.expm_integral(self.A, self.B, h)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class ContractionCertificate:
     worst_sigma: float
     worst_point: tuple[float, complex]
     method: str
-    grid_shape: tuple[int, int] | None = None
+    grid_shape: tuple[int, int]
     guard: float | None = None
     notes: str = ""
 
@@ -156,20 +153,10 @@ class ContractionCertificate:
             "worst_h": self.worst_point[0],
             "worst_lambda": [lam.real, lam.imag],
             "method": self.method,
-            "grid_shape": list(self.grid_shape) if self.grid_shape else None,
+            "grid_shape": list(self.grid_shape),
             "guard": self.guard,
             "notes": self.notes,
         }
-
-
-def closed_loop_matrix(plant: PlantModel, K, lam, h: float) -> np.ndarray:
-    """Sampled closed-loop map F(h) - lambda G(h) K for one eigenvalue lambda.
-
-    Complex for complex lambda (eigenvalues of directed topologies).
-    """
-    K, _ = _gain_pair(plant, K, None)
-    F, G = plant.discretize(h)
-    return F - lam * (G @ K)
 
 
 def transformed_entries(h: float, lam: float, dsn: GainDesign) -> np.ndarray:

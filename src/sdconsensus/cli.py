@@ -236,20 +236,17 @@ def read_graph_file(path) -> WeightedDigraph:
     symmetric = len(head) > 1 and head[1] == "symmetric"
     if len(head) > 1 and not symmetric:
         raise ConfigError(f"unexpected token {head[1]!r} in graph header")
-    w = np.zeros((n, n))
+    edges = []
     for text in lines[1:]:
         parts = text.split()
         if len(parts) != 3:
             raise ConfigError(f"bad edge line {text!r}, expected 'i j w'")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        weight = float(parts[2])
+        i, j, weight = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
         if not (0 <= i < n and 0 <= j < n):
             raise ConfigError(f"edge endpoints out of range in {text!r}")
-        w[i, j] = weight
-        if symmetric:
-            w[j, i] = weight
+        edges.append((i, j, weight))
     try:
-        return WeightedDigraph(w)
+        return WeightedDigraph.from_edges(n, edges, symmetric)
     except ValueError as exc:
         raise ConfigError(f"invalid graph in {path}: {exc}") from exc
 
@@ -345,10 +342,7 @@ def write_states_csv(path, records) -> None:
                 )
 
 
-def _write_report(path, cert: ContractionCertificate, extra: dict | None = None) -> None:
-    payload = cert.to_dict()
-    if extra:
-        payload.update(extra)
+def _write_json(path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
@@ -413,7 +407,7 @@ def cmd_certify(args) -> int:
         )
         extra = {}
     if args.report is not None:
-        _write_report(args.report, cert, extra)
+        _write_json(args.report, {**cert.to_dict(), **extra})
     lam = complex(cert.worst_point[1])
     lam_text = _fmt(lam.real) if lam.imag == 0.0 else str(lam)
     print(
@@ -451,7 +445,7 @@ def cmd_simulate(args) -> int:
     except UncertifiedGainError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         if args.report is not None:
-            _write_report(args.report, exc.certificate)
+            _write_json(args.report, exc.certificate.to_dict())
         return EXIT_UNCERTIFIED
 
     out_dir = Path(args.out) if args.out is not None else Path(resolved["output"]["dir"])
@@ -472,15 +466,13 @@ def cmd_simulate(args) -> int:
         "config_digest": config_digest(resolved),
         "master_seed": resolved["batch"]["seed"],
         "band": list(result.band),
-        "certificate": result.certificate.to_dict() if result.certificate else None,
+        "certificate": result.certificate.to_dict(),
         "outputs": {k: str(v) for k, v in paths.items()},
         "runs": resolved["batch"]["runs"],
         "steps": resolved["schedule"]["steps"],
         "elapsed_seconds": time.perf_counter() - t_start,
     }
-    with open(paths["manifest"], "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(paths["manifest"], manifest)
 
     initial = result.aggregate_delta[0]
     final = result.aggregate_delta[-1]

@@ -29,6 +29,9 @@ __all__ = [
     "random_balanced_graph",
 ]
 
+_BALANCE_TOL = 1e-12  # largest |w_ij - w_ji| that is_balanced accepts
+_MAX_TRIES = 200  # samples random_balanced_graph draws before it gives up
+
 
 class UnsupportedGraphError(ValueError):
     """Raised when an operation needs a balanced graph but got a general one."""
@@ -71,9 +74,6 @@ class WeightedDigraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def in_degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
     @classmethod
     def from_edges(cls, n: int, edges, symmetric: bool = False) -> "WeightedDigraph":
         """Build a graph from (receiver, sender, weight) triples, 0-based.
@@ -86,12 +86,6 @@ class WeightedDigraph:
             w[i, j] = weight
             if symmetric:
                 w[j, i] = weight
-        return cls(w)
-
-    @classmethod
-    def complete(cls, n: int, weight: float = 1.0) -> "WeightedDigraph":
-        w = np.full((n, n), float(weight))
-        np.fill_diagonal(w, 0.0)
         return cls(w)
 
 
@@ -110,13 +104,11 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def is_balanced(g: WeightedDigraph, tol: float = 1e-12) -> bool:
-    """True when the weight matrix is symmetric up to ``tol``: stricter than
+def is_balanced(g: WeightedDigraph) -> bool:
+    """True when the weight matrix is symmetric up to 1e-12: stricter than
     the paper's balance (row sums equal column sums), which directed rings meet."""
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
     w = g.weights
-    return bool(np.abs(w - w.T).max(initial=0.0) <= tol)
+    return bool(np.abs(w - w.T).max(initial=0.0) <= _BALANCE_TOL)
 
 
 def _reaches_all(send: np.ndarray, root: int) -> bool:
@@ -139,17 +131,11 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
     state reach i), so this is graph search on the transposed positivity
     pattern, never a spectral threshold.
     """
-    adj = g.weights > 0.0
-    send = adj.T
-    if g.n == 1:
-        return True
-    if np.array_equal(adj, adj.T):
-        # symmetric structure: reachability is the same from every node
-        return _reaches_all(send, 0)
+    send = (g.weights > 0.0).T
     return any(_reaches_all(send, root) for root in range(g.n))
 
 
-def spectrum(g: WeightedDigraph, tol: float = 1e-12) -> SpectrumSummary:
+def spectrum(g: WeightedDigraph) -> SpectrumSummary:
     """Exact Laplacian spectrum of a balanced graph, sorted ascending.
 
     lambda2 is positive exactly when the graph is connected.  Tiny negative
@@ -159,7 +145,7 @@ def spectrum(g: WeightedDigraph, tol: float = 1e-12) -> SpectrumSummary:
     """
     if g.n < 2:
         raise ValueError("spectrum needs at least two nodes")
-    if not is_balanced(g, tol):
+    if not is_balanced(g):
         raise UnsupportedGraphError("exact spectrum requires a balanced graph")
     ev = np.linalg.eigvalsh(laplacian(g))
     ev = np.where((ev < 0.0) & (ev > -1e-10), 0.0, ev)
@@ -263,7 +249,6 @@ def random_balanced_graph(
     lambda_hi: float,
     rng_seed,
     edge_prob: float = 0.3,
-    max_tries: int = 200,
 ) -> WeightedDigraph:
     """Connected balanced graph with nonzero Laplacian spectrum inside a band.
 
@@ -271,7 +256,7 @@ def random_balanced_graph(
     backbone plus independent extra edges) and rescales all weights by one
     factor that places [lambda2, lambdaN] inside [lambda_lo, lambda_hi].
     A sample is rejected when its spectral ratio exceeds the band's ratio;
-    after ``max_tries`` rejections a GraphBandError reports the best ratio
+    after 200 rejections a GraphBandError reports the best ratio
     seen.  Deterministic for a fixed seed.
     """
     if n < 2:
@@ -281,7 +266,7 @@ def random_balanced_graph(
     rng = np.random.default_rng(rng_seed)
     band_ratio = lambda_hi / lambda_lo
     best_ratio = math.inf
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         g = WeightedDigraph(_random_connected_symmetric(rng, n, edge_prob))
         summ = spectrum(g)
         if summ.lambda2 <= 0.0:
@@ -298,7 +283,7 @@ def random_balanced_graph(
             return scaled
     raise GraphBandError(
         f"no sampled topology fits the band [{lambda_lo}, {lambda_hi}] "
-        f"(ratio {band_ratio:.6g}) after {max_tries} tries; "
+        f"(ratio {band_ratio:.6g}) after {_MAX_TRIES} tries; "
         f"best spectral ratio found was {best_ratio:.6g}",
         best_ratio,
     )

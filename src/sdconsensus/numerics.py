@@ -45,26 +45,29 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def expm(a, h: float) -> np.ndarray:
-    """exp(A h) for square A and a nonnegative scale h.
+def expm(a, h) -> np.ndarray:
+    """exp(A h) for square A and a nonnegative scale h, or a stack of them.
 
-    Uses scaling-and-squaring with Pade approximants (scipy).  Nilpotent
-    inputs such as the double-integrator dynamics come out exact up to
-    rounding because the series terminates.
+    ``h`` is one interval or an array of intervals; the result has shape
+    h.shape + A.shape and comes from one scipy call (scaling-and-squaring
+    with Pade approximants) on the whole stack.  Nilpotent inputs such as
+    the double-integrator dynamics come out exact up to rounding because
+    the series terminates.
     """
     a = _as_square(a, "a")
-    h = float(h)
-    if not np.isfinite(h) or h < 0.0:
+    h = np.asarray(h, dtype=float)
+    if not (np.isfinite(h) & (h >= 0.0)).all():
         raise ValueError("h must be finite and nonnegative")
-    return scipy.linalg.expm(a * h)
+    return scipy.linalg.expm(h[..., None, None] * a)
 
 
-def expm_integral(a, b, h: float) -> np.ndarray:
+def expm_integral(a, b, h) -> np.ndarray:
     """(integral of exp(A tau) over [0, h]) B, via the augmented exponential.
 
     exp of the block matrix [[A, B], [0, 0]] scaled by h has the requested
     product in its top-right block.  This avoids branching on invertibility
-    of A (the double integrator is singular).
+    of A (the double integrator is singular).  Like ``expm``, ``h`` may be
+    an array; the result has shape h.shape + B.shape.
     """
     a = _as_square(a, "a")
     b = _as_matrix(b, "b")
@@ -77,7 +80,7 @@ def expm_integral(a, b, h: float) -> np.ndarray:
     aug = np.zeros((n + m, n + m), dtype=np.result_type(a, b))
     aug[:n, :n] = a
     aug[:n, n:] = b
-    return expm(aug, h)[:n, n:]
+    return expm(aug, h)[..., :n, n:]
 
 
 def max_singular_value(a) -> float:

@@ -173,7 +173,7 @@ class BatchResult:
 
     records: list
     aggregate_delta: np.ndarray
-    certificate: ContractionCertificate | None
+    certificate: ContractionCertificate
     pool: list
     band: tuple[float, float]
 
@@ -230,12 +230,9 @@ def _reduced_norms(X, Tinv) -> np.ndarray:
     return np.sqrt(np.einsum("rns,rns->r", Z, Z))
 
 
-def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
-    """Advance every agent by one exact sampled-data step.
-
-    Uses the neighbor-difference form of the control input, so exact
-    agreement (all rows of ``state`` equal) is preserved exactly.
-    """
+def _one_run(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
+    """Checked inputs of a one-run step: the state, F(h) and G(h) K, each as
+    a stack of one run."""
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape != (g.n, plant.n):
         raise ValueError(f"state must be {g.n}x{plant.n}, got {X.shape}")
@@ -243,8 +240,18 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     if not h > 0.0:
         raise ValueError("h must be positive")
     F, G = plant.discretize(h)
+    return X[None], F[None], (G @ K)[None]
+
+
+def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
+    """Advance every agent by one exact sampled-data step.
+
+    Uses the neighbor-difference form of the control input, so exact
+    agreement (all rows of ``state`` equal) is preserved exactly.
+    """
+    X, F, GK = _one_run(state, g, K, h, plant)
     W = g.weights
-    return _advance(X[None], W, W.sum(axis=1), F[None], (G @ K)[None])[0]
+    return _advance(X, W, W.sum(axis=1), F, GK)[0]
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -252,12 +259,10 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
 
     Cross-check path for ``step``; the two agree to rounding.
     """
-    X = np.asarray(state, dtype=float)
-    K = np.asarray(K, dtype=float)
-    F, G = plant.discretize(h)
+    X, F, GK = _one_run(state, g, K, h, plant)
     eye_cols = _kron_columns(np.eye(g.n), plant.n)
     lap_cols = _kron_columns(laplacian(g), plant.n)
-    return _advance_kronecker(X[None], eye_cols, lap_cols, F[None], (G @ K)[None])[0]
+    return _advance_kronecker(X, eye_cols, lap_cols, F, GK)[0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:

@@ -8,7 +8,6 @@ from sdconsensus.certify import (
     PlantModel,
     certify_double_integrator,
     certify_grid,
-    closed_loop_matrix,
     network_contraction,
     transformed_entries,
 )
@@ -21,6 +20,12 @@ from sdconsensus.graph import (
 from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value
 from sdconsensus.synthesis import design, limits
 from test_synthesis import make_design, random_spec
+
+
+def closed_loop_matrix(plant, K, lam, h):
+    """Oracle for the sampled closed-loop map F(h) - lambda G(h) K."""
+    F, G = plant.discretize(h)
+    return F - lam * (G @ K)
 
 
 def transformed_by_product(h, lam, dsn):
@@ -63,6 +68,14 @@ def test_discretize_general_matches_closed_form():
     np.testing.assert_allclose(G, [[0.5 * 1.7**2], [1.7]], atol=1e-13)
 
 
+def test_discretize_general_multi_input():
+    plant = PlantModel.general([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+    h = 0.5
+    F, G = plant.discretize(h)
+    np.testing.assert_allclose(F, [[1.0, h], [0.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(G, [[h, 0.5 * h * h], [0.0, h]], atol=1e-13)
+
+
 def test_discretize_array_equals_per_interval_calls(di_plant):
     h = np.random.default_rng(0).uniform(0.0, 3.0, size=(3, 4))
     general = PlantModel.general([[0.0, 1.0], [-2.0, -0.5]], [[0.0, 1.0], [1.0, 0.0]])
@@ -80,7 +93,7 @@ def test_discretize_array_equals_per_interval_calls(di_plant):
 
 
 # ---------------------------------------------------------------------------
-# closed-loop assembly
+# closed-loop oracle
 
 
 def test_closed_loop_matrix_double_integrator_formula(di_plant):
@@ -94,31 +107,6 @@ def test_closed_loop_matrix_double_integrator_formula(di_plant):
         ]
     )
     np.testing.assert_allclose(got, want, atol=1e-14)
-
-
-def test_closed_loop_matrix_zero_lambda_is_open_loop(di_plant):
-    K = np.array([[0.3, 0.4]])
-    got = closed_loop_matrix(di_plant, K, 0.0, 1.3)
-    np.testing.assert_array_equal(got, di_plant.discretize(1.3)[0])
-
-
-def test_closed_loop_matrix_zero_interval_is_identity(di_plant):
-    got = closed_loop_matrix(di_plant, np.array([[0.3, 0.4]]), 2.0, 0.0)
-    np.testing.assert_array_equal(got, np.eye(2))
-
-
-def test_closed_loop_matrix_complex_lambda(di_plant):
-    K = np.array([[0.3, 0.4]])
-    lam = 1.0 + 0.5j
-    got = closed_loop_matrix(di_plant, K, lam, 0.9)
-    F, G = di_plant.discretize(0.9)
-    np.testing.assert_allclose(got, F - lam * (G @ K), atol=1e-14)
-    assert np.iscomplexobj(got)
-
-
-def test_closed_loop_matrix_rejects_bad_gain_shape(di_plant):
-    with pytest.raises(ValueError):
-        closed_loop_matrix(di_plant, np.array([[0.3, 0.4, 0.5]]), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +180,11 @@ def test_certify_equal_gains_not_certified(example1_spec, example1_design):
 
 def test_certificate_verdict_consistency():
     with pytest.raises(ValueError):
-        ContractionCertificate("certified", 1.2, (1.0, 1.0), "grid-sample")
+        ContractionCertificate("certified", 1.2, (1.0, 1.0), "grid-sample", (1, 1))
     with pytest.raises(ValueError):
-        ContractionCertificate("refuted", 0.5, (1.0, 1.0), "grid-sample")
+        ContractionCertificate("refuted", 0.5, (1.0, 1.0), "grid-sample", (1, 1))
     with pytest.raises(ValueError):
-        ContractionCertificate("maybe", 0.5, (1.0, 1.0), "grid-sample")
+        ContractionCertificate("maybe", 0.5, (1.0, 1.0), "grid-sample", (1, 1))
 
 
 def test_certificate_round_trip_dict(example1_spec, example1_design):
@@ -273,16 +261,6 @@ def test_certify_grid_scalar_general_plant():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_closed_loop_matrix_multi_input():
-    plant = PlantModel.general([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    K = np.array([[0.3, 0.0], [0.0, 0.25]])
-    h, lam = 0.5, 2.0
-    got = closed_loop_matrix(plant, K, lam, h)
-    G = np.array([[h, 0.5 * h * h], [0.0, h]])
-    want = np.array([[1.0, h], [0.0, 1.0]]) - lam * (G @ K)
-    np.testing.assert_allclose(got, want, atol=1e-13)
-
-
 def test_certificate_with_complex_witness_serializes(di_plant, example1_design):
     g = WeightedDigraph.from_edges(3, [(i, (i - 1) % 3, 1.0) for i in range(3)])
     cert = certify_grid(
@@ -301,6 +279,8 @@ def test_certificate_with_complex_witness_serializes(di_plant, example1_design):
 
 def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
     dsn = example1_design
+    with pytest.raises(ValueError, match=r"K must be 1x2, got \(1, 3\)"):
+        certify_grid(di_plant, np.array([[0.3, 0.4, 0.5]]), dsn.T, 3.0, (0.3, 6.0))
     with pytest.raises(ValueError):
         certify_grid(di_plant, dsn.K, np.zeros((2, 2)), 3.0, (0.3, 6.0))
     with pytest.raises(ValueError):

@@ -32,7 +32,14 @@ def test_package_exports_nothing_outside_module_all():
 
 
 @pytest.mark.parametrize(
-    "attr", ["search_design", "laplacian_disc_radius", "DiscretizedPlant", "ReductionBasis"]
+    "attr",
+    [
+        "search_design",
+        "laplacian_disc_radius",
+        "DiscretizedPlant",
+        "ReductionBasis",
+        "closed_loop_matrix",
+    ],
 )
 def test_removed_study_api_is_gone(attr):
     assert not hasattr(sdconsensus, attr)
@@ -44,6 +51,8 @@ def test_removed_study_api_is_gone(attr):
     "owner, attr",
     [
         (sdconsensus.PlantModel, "discretize_many"),
+        (sdconsensus.WeightedDigraph, "complete"),
+        (sdconsensus.WeightedDigraph, "in_degrees"),
         (importlib.import_module("sdconsensus.cli"), "serialize_config"),
         (importlib.import_module("sdconsensus.cli"), "write_graph_file"),
     ],

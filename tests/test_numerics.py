@@ -90,6 +90,20 @@ def test_expm_rejects_bad_input():
         expm(np.array([[math.nan, 0.0], [0.0, 0.0]]), 1.0)
 
 
+def test_expm_stack_equals_per_interval_calls():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 2))
+    h = rng.uniform(0.0, 2.0, size=(2, 5))
+    F, G = expm(a, h), expm_integral(a, b, h)
+    assert F.shape == (2, 5, 3, 3) and G.shape == (2, 5, 3, 2)
+    for idx in np.ndindex(h.shape):
+        np.testing.assert_array_equal(F[idx], expm(a, float(h[idx])))
+        np.testing.assert_array_equal(G[idx], expm_integral(a, b, float(h[idx])))
+    with pytest.raises(ValueError):
+        expm(a, [0.5, -0.5])
+
+
 # ---------------------------------------------------------------------------
 # expm_integral
 

@@ -14,6 +14,7 @@ from sdconsensus.sim import (
     step,
     step_kronecker,
 )
+from test_graph import complete_graph
 
 
 def pair_graph(w=1.0):
@@ -44,7 +45,7 @@ def small_batch(example1_design):
 
 
 def test_step_preserves_agreement_exactly(di_plant, example1_design):
-    g = WeightedDigraph.complete(4)
+    g = complete_graph(4)
     x = np.tile([2.5, -0.75], (4, 1))
     for h in (0.01, 1.0, 2.9):
         nxt = step(x, g, example1_design.K, h, di_plant)
@@ -116,12 +117,13 @@ def test_step_permutation_equivariance(di_plant, example1_design):
 
 def test_step_rejects_bad_shapes(di_plant, example1_design):
     g = pair_graph()
-    with pytest.raises(ValueError):
-        step(np.zeros((3, 2)), g, example1_design.K, 1.0, di_plant)
-    with pytest.raises(ValueError, match=r"K must be 1x2, got \(1, 3\)"):
-        step(np.zeros((2, 2)), g, np.zeros((1, 3)), 1.0, di_plant)
-    with pytest.raises(ValueError):
-        step(np.zeros((2, 2)), g, example1_design.K, 0.0, di_plant)
+    for advance in (step, step_kronecker):
+        with pytest.raises(ValueError):
+            advance(np.zeros((3, 2)), g, example1_design.K, 1.0, di_plant)
+        with pytest.raises(ValueError, match=r"K must be 1x2, got \(1, 3\)"):
+            advance(np.zeros((2, 2)), g, np.zeros((1, 3)), 1.0, di_plant)
+        with pytest.raises(ValueError, match="h must be positive"):
+            advance(np.zeros((2, 2)), g, example1_design.K, 0.0, di_plant)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +407,7 @@ def _oracle_config(case, example1_design):
     overrides = {
         "no-switching": dict(switch_period=None),
         "period-25-of-60": dict(switch_period=25),
-        "one-graph-pool": dict(topology=[WeightedDigraph.complete(5)]),
+        "one-graph-pool": dict(topology=[complete_graph(5)]),
         "one-run": dict(runs=1),
         "recorded-states": dict(record_states=True, runs=4),
     }[case]
