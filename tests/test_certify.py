@@ -277,10 +277,15 @@ def test_certificate_with_complex_witness_serializes(di_plant, example1_design):
     assert complex(re_im[0], re_im[1]) == cert.worst_point[1]
 
 
-def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
+def test_closed_loop_matrix_rejects_bad_gain_shape(di_plant, example1_design):
+    # The closed loop F - lam G K needs K to be m x n; certify_grid checks it.
     dsn = example1_design
     with pytest.raises(ValueError, match=r"K must be 1x2, got \(1, 3\)"):
         certify_grid(di_plant, np.array([[0.3, 0.4, 0.5]]), dsn.T, 3.0, (0.3, 6.0))
+
+
+def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
+    dsn = example1_design
     with pytest.raises(ValueError):
         certify_grid(di_plant, dsn.K, np.zeros((2, 2)), 3.0, (0.3, 6.0))
     with pytest.raises(ValueError):
