@@ -225,26 +225,35 @@ def read_graph_file(path) -> WeightedDigraph:
     """
     lines = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             text = line.split("#", 1)[0].strip()
             if text:
-                lines.append(text)
+                lines.append((number, text))
     if not lines:
         raise ConfigError(f"graph file {path} is empty")
-    head = lines[0].split()
-    n = int(head[0])
-    symmetric = len(head) > 1 and head[1] == "symmetric"
-    if len(head) > 1 and not symmetric:
-        raise ConfigError(f"unexpected token {head[1]!r} in graph header")
+    number, text = lines[0]
+    head = text.split()
+    try:
+        n = int(head[0])
+    except ValueError:
+        n = None
+    if n is None or head[1:] not in ([], ["symmetric"]):
+        raise ConfigError(
+            f"{path}, line {number}: bad header {text!r}, expected 'n' or 'n symmetric'"
+        )
+    symmetric = len(head) == 2
     edges = []
-    for text in lines[1:]:
-        parts = text.split()
-        if len(parts) != 3:
-            raise ConfigError(f"bad edge line {text!r}, expected 'i j w'")
-        i, j, weight = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"edge endpoints out of range in {text!r}")
-        edges.append((i, j, weight))
+    for number, text in lines[1:]:
+        try:
+            i, j, weight = text.split()
+            edge = (int(i) - 1, int(j) - 1, float(weight))
+        except ValueError:
+            raise ConfigError(
+                f"{path}, line {number}: bad edge {text!r}, expected 'i j w'"
+            ) from None
+        if not (0 <= edge[0] < n and 0 <= edge[1] < n):
+            raise ConfigError(f"{path}, line {number}: edge endpoints out of range in {text!r}")
+        edges.append(edge)
     try:
         return WeightedDigraph.from_edges(n, edges, symmetric)
     except ValueError as exc:
@@ -377,6 +386,8 @@ def _certify_from_config(path) -> tuple[ContractionCertificate, dict]:
     if resolved["certify"]["mode"] == "fixed":
         if not isinstance(topology, list) or len(topology) != 1:
             raise ConfigError("fixed mode needs topology.graphs with exactly one graph")
+        if topology[0].n < 2:
+            raise ConfigError("fixed-mode graph needs at least two nodes")
         if not has_spanning_tree(topology[0]):
             raise ConfigError("fixed-mode graph must have a spanning tree")
         lambdas = consensus_eigenvalues(topology[0])

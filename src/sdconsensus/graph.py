@@ -158,9 +158,9 @@ def pool_band(pool) -> tuple[float, float]:
 
     This is the eigenvalue interval a certificate must cover for the pool
     to switch freely, and the one check that it may: the pool is not
-    empty, its graphs share a node count, and each is balanced and has a
-    spanning tree.  A ValueError (UnsupportedGraphError when unbalanced)
-    names the offending graph by its position in the pool.
+    empty, its graphs share a node count of at least two, and each is
+    balanced and has a spanning tree.  A ValueError (UnsupportedGraphError
+    when unbalanced) names the offending graph by its position in the pool.
     """
     pool = list(pool)
     if not pool:
@@ -170,6 +170,8 @@ def pool_band(pool) -> tuple[float, float]:
         raise ValueError(f"pool graphs disagree on node count: {sizes}")
     lows, highs = [], []
     for i, g in enumerate(pool):
+        if g.n < 2:
+            raise ValueError(f"pool graph {i} has a single node; consensus needs at least two")
         if not is_balanced(g):
             raise UnsupportedGraphError(f"pool graph {i} is not balanced")
         if not has_spanning_tree(g):

@@ -15,7 +15,7 @@ coupling W Y - deg Y, which is shift-invariant, so exact agreement gives an
 exactly zero coupling and stays exact.  ``step`` is the same kernel with one
 run.  The optional cross-check applies the Kronecker-assembled map
 I kron F - L kron G K, built from kron(I, E_ab) and kron(L, E_ab) once per
-topology and switching segment rather than once per step.
+pool graph, as one sparse operator.
 
 Every trajectory records the disagreement metric and the transformed reduced
 norm, whose strict decrease is the certified contraction at work.  The norm
@@ -190,32 +190,27 @@ def _advance(X, W, deg, F, GK):
     return X @ F.transpose(0, 2, 1) + coupling @ GK.transpose(0, 2, 1)
 
 
-def _kron_columns(M, s: int) -> np.ndarray:
-    """kron(M, E_ab)^T for the s x s unit matrices E_ab, side by side.
-
-    Block c = a s + b of the result holds kron(M, E_ab)^T, so that
-    ``x @ result`` stacks kron(M, E_ab) x for every (a, b).
-    """
-    size = M.shape[0] * s
-    out = np.empty((size, s * s * size))
-    for c, unit in enumerate(np.eye(s * s).reshape(s * s, s, s)):
-        out[:, c * size:(c + 1) * size] = np.kron(M, unit).T
-    return out
+def _kronecker_map(L, s: int):
+    """kron(I, E_ab) and then kron(L, E_ab) stacked as one sparse matrix, with
+    the s x s unit matrices E_ab in the order c = a s + b: block c of
+    ``kmap @ x`` is kron(I, E_ab) x and block s^2 + c is kron(L, E_ab) x."""
+    from scipy import sparse  # about 15 ms to import; only the cross-check needs it
+    units = np.eye(s * s).reshape(s * s, s, s)
+    factors = (sparse.identity(L.shape[0], format="coo"), sparse.coo_matrix(L))
+    blocks = [sparse.kron(M, e) for M in factors for e in units]
+    return sparse.vstack(blocks, format="csr")
 
 
-def _advance_kronecker(X, eye_cols, lap_cols, F, GK):
+def _advance_kronecker(X, kmap, F, GK):
     """The step of ``_advance`` as (I kron F - L kron G K) on each stacked state.
 
-    ``eye_cols`` and ``lap_cols`` are ``_kron_columns`` of the identity and
-    of the Laplacian L; each run's map is the sum over (a, b) of
-    F_ab kron(I, E_ab) - (G K)_ab kron(L, E_ab).
+    ``kmap`` is the ``_kronecker_map`` of the Laplacian L; each run's map is
+    the sum over (a, b) of F_ab kron(I, E_ab) - (G K)_ab kron(L, E_ab).
     """
     runs, n, s = X.shape
-    x = X.reshape(runs, n * s)
-    eye_parts = (x @ eye_cols).reshape(runs, s * s, n * s)
-    lap_parts = (x @ lap_cols).reshape(runs, s * s, n * s)
-    out = F.reshape(runs, 1, s * s) @ eye_parts - GK.reshape(runs, 1, s * s) @ lap_parts
-    return out.reshape(X.shape)
+    parts = (kmap @ X.reshape(runs, n * s).T).T.reshape(runs, 2 * s * s, n * s)
+    coeffs = np.concatenate([F.reshape(runs, s * s), -GK.reshape(runs, s * s)], axis=1)
+    return (coeffs[:, None] @ parts).reshape(X.shape)
 
 
 def _disagreements(X) -> np.ndarray:
@@ -260,9 +255,7 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     Cross-check path for ``step``; the two agree to rounding.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    eye_cols = _kron_columns(np.eye(g.n), plant.n)
-    lap_cols = _kron_columns(laplacian(g), plant.n)
-    return _advance_kronecker(X, eye_cols, lap_cols, F, GK)[0]
+    return _advance_kronecker(X, _kronecker_map(laplacian(g), plant.n), F, GK)[0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:
@@ -374,7 +367,6 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     Tinv = np.linalg.inv(T)
     X, h, topology = _draw_streams(config, run_seeds, len(pool))
     runs, steps = h.shape
-    n_states = config.plant.n
     t = np.zeros((runs, steps + 1))
     np.cumsum(h, axis=1, out=t[:, 1:])
     delta = np.empty((runs, steps + 1))
@@ -386,8 +378,9 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
         states = np.empty((runs, steps + 1) + X.shape[1:])
         states[:, 0] = X
     gap = np.zeros(runs)
+    degrees = [g.weights.sum(axis=1) for g in pool]
     verify = config.verify_step_forms
-    eye_cols = _kron_columns(np.eye(config.n_agents), n_states) if verify else None
+    kmaps = [_kronecker_map(laplacian(g), X.shape[2]) for g in pool] if verify else None
     period = config.switch_period or steps
     for start in range(0, steps, period):
         stop = min(start + period, steps)
@@ -395,17 +388,13 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
         # runs sharing a topology for the whole segment advance as one stack
         for g in np.unique(active):
             idx = np.flatnonzero(active == g)
-            W = pool[g].weights
-            deg = W.sum(axis=1)
             F, G = config.plant.discretize(h[idx, start:stop].T)
             GK = G @ K
-            if verify:
-                lap_cols = _kron_columns(laplacian(pool[g]), n_states)
             Xg = X[idx]
             for j, k in enumerate(range(start + 1, stop + 1)):
-                X_next = _advance(Xg, W, deg, F[j], GK[j])
+                X_next = _advance(Xg, pool[g].weights, degrees[g], F[j], GK[j])
                 if verify:
-                    other = _advance_kronecker(Xg, eye_cols, lap_cols, F[j], GK[j])
+                    other = _advance_kronecker(Xg, kmaps[g], F[j], GK[j])
                     gap[idx] = np.maximum(gap[idx], np.abs(X_next - other).max(axis=(1, 2)))
                 Xg = X_next
                 delta[idx, k] = _disagreements(Xg)

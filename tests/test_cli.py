@@ -141,6 +141,17 @@ def test_certify_fixed_mode_needs_spanning_tree(tmp_path, capsys):
     assert "spanning tree" in capsys.readouterr().err
 
 
+def test_certify_fixed_mode_needs_two_nodes(tmp_path, capsys):
+    (tmp_path / "one.graph").write_text("1\n", encoding="utf-8")
+    cfg = sim_config_dict()
+    cfg["topology"] = {"graphs": ["one.graph"]}
+    cfg["certify"] = {"mode": "fixed"}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: fixed-mode graph needs at least two nodes\n"
+
+
 def test_certify_config_report_matches_inline(tmp_path):
     # the exact certificate reports the same worst sample whoever asks
     by_config, inline = tmp_path / "config.json", tmp_path / "inline.json"
@@ -381,25 +392,33 @@ def test_simulate_refuses_exactly_when_certify_does_not_certify(tmp_path, overri
     assert rc_simulate == (cli.EXIT_OK if certified else cli.EXIT_UNCERTIFIED)
 
 
+# name -> (graph files, the error message both commands print)
 BAD_POOLS = {
     # balanced, but nodes 1-2 never hear from node 3
-    "disconnected": {"a.graph": "3 symmetric\n1 2 1.0\n"},
-    "mixed-node-counts": {
-        "a.graph": "2 symmetric\n1 2 1.0\n",
-        "b.graph": "3 symmetric\n1 2 1.0\n2 3 1.0\n",
-    },
-    "unbalanced": {"a.graph": "2\n1 2 1.0\n"},
-    "single-node": {"a.graph": "1\n"},
-    "empty": {},
+    "disconnected": (
+        {"a.graph": "3 symmetric\n1 2 1.0\n"},
+        "pool graph 0 has no spanning tree",
+    ),
+    "mixed-node-counts": (
+        {"a.graph": "2 symmetric\n1 2 1.0\n", "b.graph": "3 symmetric\n1 2 1.0\n2 3 1.0\n"},
+        "pool graphs disagree on node count: [2, 3]",
+    ),
+    "unbalanced": ({"a.graph": "2\n1 2 1.0\n"}, "pool graph 0 is not balanced"),
+    "single-node": (
+        {"a.graph": "1\n"},
+        "pool graph 0 has a single node; consensus needs at least two",
+    ),
+    "empty": ({}, "topology pool must not be empty"),
 }
 
 
 @pytest.mark.parametrize("gain", [None, RAW_GAIN], ids=["design", "raw-gain-with-T"])
 @pytest.mark.parametrize("pool", sorted(BAD_POOLS))
 def test_certify_and_simulate_reject_the_same_pools(tmp_path, capsys, pool, gain):
-    for name, text in BAD_POOLS[pool].items():
+    files, message = BAD_POOLS[pool]
+    for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    cfg = sim_config_dict(topology={"graphs": sorted(BAD_POOLS[pool])})
+    cfg = sim_config_dict(topology={"graphs": sorted(files)})
     if gain is not None:
         del cfg["design"]
         cfg["gain"] = gain
@@ -410,7 +429,7 @@ def test_certify_and_simulate_reject_the_same_pools(tmp_path, capsys, pool, gain
     rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_USAGE
     assert capsys.readouterr().err == certify_err
-    assert certify_err.startswith("error: "), certify_err
+    assert certify_err == f"error: {message}\n"
 
 
 def schema_fields(table=cli._SCHEMA, prefix=()):
@@ -610,6 +629,13 @@ def test_graph_file_comments_and_errors(tmp_path):
     empty.write_text("# nothing\n", encoding="utf-8")
     with pytest.raises(cli.ConfigError):
         cli.read_graph_file(empty)
+    # a parse error names the file and the line it is on
+    for text, line in [("abc\n", "line 1: bad header 'abc'"),
+                       ("2\n# edges\n1 2 x\n", "line 3: bad edge '1 2 x'"),
+                       ("2\n1 2.5 1\n", "line 2: bad edge '1 2.5 1'")]:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match=re.escape(f"{bad}, {line}")):
+            cli.read_graph_file(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdconsensus import sim
 from sdconsensus.certify import PlantModel
 from sdconsensus.graph import WeightedDigraph, reduction_basis
 from sdconsensus.sim import (
@@ -86,18 +87,27 @@ def test_step_pair_matches_kronecker_oracle(di_plant, example1_design):
 
 
 def test_step_forms_agree(di_plant, example1_design):
+    # state sizes 1, 2 and 3: at s = 3 a wrong order of the unit matrices
+    # E_ab (block a s + b) would show
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(2, 8))
-        mask = np.triu(rng.random((n, n)) < 0.6, 1)
-        w = np.zeros((n, n))
-        w[mask | mask.T] = rng.uniform(0.2, 2.0)
-        g = WeightedDigraph(w)
-        x = rng.uniform(-10.0, 10.0, size=(n, 2))
-        h = float(rng.uniform(0.01, 3.0))
-        a = step(x, g, example1_design.K, h, di_plant)
-        b = step_kronecker(x, g, example1_design.K, h, di_plant)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    plants = [
+        (PlantModel.general([[-0.3]], [[1.0]]), np.array([[0.4]])),
+        (di_plant, example1_design.K),
+        (PlantModel.general(rng.uniform(-0.5, 0.5, (3, 3)), rng.uniform(-1.0, 1.0, (3, 1))),
+         rng.uniform(-0.5, 0.5, (1, 3))),
+    ]
+    for plant, K in plants:
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            mask = np.triu(rng.random((n, n)) < 0.6, 1)
+            w = np.zeros((n, n))
+            w[mask | mask.T] = rng.uniform(0.2, 2.0)
+            g = WeightedDigraph(w)
+            x = rng.uniform(-10.0, 10.0, size=(n, plant.n))
+            h = float(rng.uniform(0.01, 3.0))
+            a = step(x, g, K, h, plant)
+            b = step_kronecker(x, g, K, h, plant)
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_step_permutation_equivariance(di_plant, example1_design):
@@ -331,6 +341,15 @@ def test_run_verify_step_forms(example1_design):
     result = run(cfg)
     for rec in result.records:
         assert rec.step_form_gap < 1e-12
+
+
+def test_run_verify_step_forms_sees_a_wrong_step(monkeypatch, example1_design):
+    # the cross-check is not vacuous: an exact step off by 1e-9 shows in the gap
+    exact = sim._advance
+    monkeypatch.setattr(sim, "_advance", lambda *args: exact(*args) + 1e-9)
+    result = run(small_config(design=example1_design, verify_step_forms=True, steps=5))
+    for rec in result.records:
+        assert rec.step_form_gap > 1e-12
 
 
 def test_run_raw_gain_single_integrator_certifies_with_identity():
