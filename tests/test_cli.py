@@ -314,6 +314,27 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
             assert "certify.grid" in capsys.readouterr().err, (name, gain)
 
 
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"edge_prob": -0.5}, "edge_prob must be in [0, 1]"),
+        ({"edge_prob": float("nan")}, "edge_prob must be in [0, 1]"),
+        ({"lambda_band": [0.3, float("inf")]},
+         "band must be finite with 0 < lambda_lo <= lambda_hi"),
+    ],
+    ids=["negative-edge-prob", "nan-edge-prob", "infinite-band"],
+)
+def test_bad_random_recipe_exits_usage_without_warnings(tmp_path, capsys, recwarn, recipe, message):
+    cfg = sim_config_dict()
+    cfg["topology"]["random"].update(recipe)
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    for command in (["certify"], ["simulate", "--out", str(tmp_path / "out")]):
+        assert cli.main([*command, "--config", path]) == cli.EXIT_USAGE, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+    assert not (tmp_path / "out").exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_whole_number_fields_resolve_as_before():
     cfg = sim_config_dict(batch={"runs": 2.0, "seed": 7.0}, certify={"grid": [20.0, 3]})
     resolved = cli.resolve_config(cfg)

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sdconsensus import sim
 from sdconsensus.certify import PlantModel
-from sdconsensus.graph import WeightedDigraph, reduction_basis
+from sdconsensus.graph import WeightedDigraph, laplacian, reduction_basis
 from sdconsensus.sim import (
     SimulationConfig,
     TopologyRecipe,
@@ -108,6 +110,19 @@ def test_step_forms_agree(di_plant, example1_design):
             a = step(x, g, K, h, plant)
             b = step_kronecker(x, g, K, h, plant)
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def test_kronecker_map_forms_each_laplacian_product_once():
+    # L kron I_s holds each entry of L once per state component, no stored zeros
+    w = np.zeros((5, 5))
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 3)):
+        w[i, j] = w[j, i] = 0.5 + i
+    L = laplacian(WeightedDigraph(w))
+    for s in (1, 2, 3):
+        kmap = sim._kronecker_map(L, s)
+        assert kmap.format == "csr"
+        assert kmap.nnz == s * np.count_nonzero(L)
+        np.testing.assert_array_equal(kmap.toarray(), np.kron(L, np.eye(s)))
 
 
 def test_step_permutation_equivariance(di_plant, example1_design):
@@ -350,6 +365,51 @@ def test_run_verify_step_forms_sees_a_wrong_step(monkeypatch, example1_design):
     result = run(small_config(design=example1_design, verify_step_forms=True, steps=5))
     for rec in result.records:
         assert rec.step_form_gap > 1e-12
+
+
+def test_run_verify_step_forms_checks_the_last_step_of_a_segment(monkeypatch, example1_design):
+    # a step wrong only on every 50th call, the last step of each stack's
+    # 50-step segment, still shows in the gap of every run
+    exact = sim._advance
+    calls = itertools.count(1)
+
+    def advance(*args):
+        out = exact(*args)
+        return out + 1e-9 if next(calls) % 50 == 0 else out
+
+    monkeypatch.setattr(sim, "_advance", advance)
+    cfg = small_config(design=example1_design, verify_step_forms=True, steps=50, switch_period=50)
+    for rec in run(cfg).records:
+        assert rec.step_form_gap > 1e-12
+
+
+def test_run_long_segment_in_blocks_gives_the_same_records(monkeypatch, example1_design):
+    # a segment longer than one block advances in several; records stay the same
+    cfg = small_config(
+        design=example1_design, steps=45, switch_period=20,
+        record_states=True, verify_step_forms=True,
+    )
+    whole = run(cfg)
+    monkeypatch.setattr(sim, "_BLOCK_ENTRIES", 7 * 3 * 5 * 2)  # 7 steps of 3 runs
+    split = run(cfg)
+    for a, b in zip(whole.records, split.records):
+        for field in ("t", "h", "topology", "delta", "nu", "states"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert a.step_form_gap == b.step_form_gap
+
+
+@pytest.mark.parametrize("n", [5, 100])
+def test_run_metrics_equal_the_public_helpers(n, example1_design):
+    # delta and nu of a run are the helpers' values on its states, bit for bit,
+    # with a switch period that does not divide the steps
+    cfg = small_config(design=example1_design, n_agents=n, steps=23, switch_period=7,
+                       record_states=True)
+    basis = reduction_basis(n)
+    for rec in run(cfg).records:
+        assert rec.states.shape == (24, n, 2)
+        for k, x in enumerate(rec.states):
+            assert rec.delta[k] == disagreement(x)
+            assert rec.nu[k] == reduced_norm(x, basis, example1_design.T)
 
 
 def test_run_raw_gain_single_integrator_certifies_with_identity():
