@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -431,6 +432,9 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
+    bound = args.assert_convergence
+    if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
+        raise ConfigError("--assert-convergence needs a finite R >= 0")
     resolved = resolve_config(load_config(args.config))
     plant = _build_plant(resolved)
     gain = _build_gain(resolved)
@@ -451,6 +455,7 @@ def cmd_simulate(args) -> int:
         record_states=resolved["output"]["full_state"],
         **gain,
     )
+    t_built = time.perf_counter()
     try:
         result = run(config, force=args.force)
     except UncertifiedGainError as exc:
@@ -459,6 +464,7 @@ def cmd_simulate(args) -> int:
             _write_json(args.report, exc.certificate.to_dict())
         return EXIT_UNCERTIFIED
 
+    t_ran = time.perf_counter()
     out_dir = Path(args.out) if args.out is not None else Path(resolved["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -471,6 +477,11 @@ def cmd_simulate(args) -> int:
     if resolved["output"]["full_state"]:
         paths["states"] = out_dir / "states.csv"
         write_states_csv(paths["states"], result.records)
+    timings = {
+        "resolve": t_built - t_start,
+        **result.timings,
+        "write": time.perf_counter() - t_ran,
+    }
     manifest = {
         "tool": "sdconsensus",
         "version": __version__,
@@ -481,6 +492,7 @@ def cmd_simulate(args) -> int:
         "outputs": {k: str(v) for k, v in paths.items()},
         "runs": resolved["batch"]["runs"],
         "steps": resolved["schedule"]["steps"],
+        "timings": timings,
         "elapsed_seconds": time.perf_counter() - t_start,
     }
     _write_json(paths["manifest"], manifest)
@@ -493,10 +505,9 @@ def cmd_simulate(args) -> int:
         f"{resolved['schedule']['steps']} steps; aggregate disagreement "
         f"{_fmt(initial)} -> {_fmt(final)} (ratio {ratio:.3e})"
     )
-    if args.assert_convergence is not None and ratio > args.assert_convergence:
+    if bound is not None and ratio > bound:
         print(
-            f"convergence assertion failed: ratio {ratio:.3e} > "
-            f"{args.assert_convergence:.3e}",
+            f"convergence assertion failed: ratio {ratio:.3e} > {bound:.3e}",
             file=sys.stderr,
         )
         return EXIT_REFUTED
@@ -504,6 +515,8 @@ def cmd_simulate(args) -> int:
 
 
 def _axis(name: str, lo: float, hi: float, n: float) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} needs finite lo and hi, got {lo!r} and {hi!r}")
     if n % 1:
         raise ConfigError(f"{name} needs a whole number of points, got {n!r}")
     n = int(n)

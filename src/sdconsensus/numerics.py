@@ -14,7 +14,6 @@ scaled; ``expm`` is intended for ||A h|| up to roughly 10.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "expm",
@@ -54,6 +53,8 @@ def expm(a, h) -> np.ndarray:
     the double-integrator dynamics come out exact up to rounding because
     the series terminates.
     """
+    import scipy.linalg  # only general plants get here; a cold import is ~0.4 s
+
     a = _as_square(a, "a")
     h = np.asarray(h, dtype=float)
     if not (np.isfinite(h) & (h >= 0.0)).all():

@@ -27,6 +27,7 @@ mbar mbar^T = I - 11^T / n.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,13 +174,19 @@ class TrajectoryRecord:
 
 @dataclass
 class BatchResult:
-    """All run records plus the per-step max-over-runs disagreement."""
+    """All run records plus the per-step max-over-runs disagreement.
+
+    ``timings`` holds the seconds spent in each phase of ``run``: ``pool``
+    (materializing the topology pool), ``certify`` (the band and its
+    certificate) and ``simulate`` (drawing the streams and stepping).
+    """
 
     records: list
     aggregate_delta: np.ndarray
     certificate: ContractionCertificate
     pool: list
     band: tuple[float, float]
+    timings: dict
 
 
 def _advance(X, W, deg, F, GK):
@@ -197,7 +204,9 @@ def _advance(X, W, deg, F, GK):
 def _kronecker_map(L, s: int):
     """L kron I_s as one CSR matrix of s nnz(L) entries (scipy's default BSR
     format would store zeros): ``kmap @ x`` applies L to every component."""
-    from scipy import sparse  # about 15 ms to import; only the cross-check needs it
+    # a cold import of scipy.sparse takes about 0.4 s; verified runs and
+    # step_kronecker are the only simulator paths that pay it
+    from scipy import sparse
     return sparse.kron(L, sparse.identity(s), format="csr")
 
 
@@ -346,9 +355,11 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     carries the certificate.  Runs derive their generators from the master
     seed, so results are deterministic and independent of execution order.
     """
+    t0 = time.perf_counter()
     master = np.random.SeedSequence(config.seed)
     pool_seed, *run_seeds = master.spawn(config.runs + 1)
     pool = _materialize_pool(config, pool_seed)
+    t1 = time.perf_counter()
     band = _topology_band(config.topology)
     cert = certify_gain(
         config.plant, config.hbar, band,
@@ -360,6 +371,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             f"(verdict: {cert.verdict}); pass force=True to simulate anyway",
             cert,
         )
+    t2 = time.perf_counter()
     if config.design is not None:
         K, T = config.design.K, config.design.T
     else:
@@ -378,12 +390,13 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     kmaps = [_kronecker_map(laplacian(g), X.shape[2]) for g in pool] if verify else None
     period = config.switch_period or steps
     length = max(1, min(period, _BLOCK_ENTRIES // X.size))
-    bounds = np.union1d(np.arange(0, steps, period), np.arange(0, steps, length))
+    # sorted sets, not np.union1d/np.unique: those import numpy.ma on first use
+    bounds = sorted({*range(0, steps, period), *range(0, steps, length)})
     for start, stop in zip(bounds, [*bounds[1:], steps]):
         active = topology[:, start]
         # runs sharing a topology for the whole segment advance as one block;
         # its first row is the state at `start`, so the metrics cover k = 0 too
-        for g in np.unique(active):
+        for g in sorted(set(active.tolist())):
             idx = np.flatnonzero(active == g)
             F, G = config.plant.discretize(h[idx, start:stop].T)
             GK = G @ K
@@ -409,4 +422,5 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
         )
         for r in range(runs)
     ]
-    return BatchResult(records, delta.max(axis=0), cert, pool, band)
+    timings = {"pool": t1 - t0, "certify": t2 - t1, "simulate": time.perf_counter() - t2}
+    return BatchResult(records, delta.max(axis=0), cert, pool, band, timings)

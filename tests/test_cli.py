@@ -2,6 +2,7 @@ import json
 import re
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,10 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert manifest["certificate"]["verdict"] == "certified"
     resolved = cli.resolve_config(cli.load_config(path))
     assert manifest["config_digest"] == cli.config_digest(resolved)
+    timings = manifest["timings"]
+    assert sorted(timings) == ["certify", "pool", "resolve", "simulate", "write"]
+    assert all(seconds >= 0.0 for seconds in timings.values())
+    assert sum(timings.values()) <= manifest["elapsed_seconds"]
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -210,6 +215,23 @@ def test_simulate_assert_convergence(tmp_path):
          "--assert-convergence", "1e-15"]
     )
     assert rc == cli.EXIT_REFUTED
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-inf", "-0.5"])
+def test_simulate_rejects_a_bad_convergence_bound_before_running(tmp_path, capsys, monkeypatch,
+                                                                   bound):
+    # ratio > nan is never true, so a NaN bound could never fail
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated with a bad --assert-convergence")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    path = write_yaml(tmp_path / "cfg.yaml", sim_config_dict())
+    out_dir = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", path, "--out", str(out_dir),
+                   f"--assert-convergence={bound}"])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: --assert-convergence needs a finite R >= 0\n"
+    assert not out_dir.exists()
 
 
 def test_simulate_uncertified_gain_refused(tmp_path, capsys):
@@ -559,6 +581,26 @@ def test_sweep_rejects_empty_grid(capsys):
         capsys.readouterr()
         assert cli.main(["sweep", *bad]) == cli.EXIT_USAGE, bad
         assert capsys.readouterr().err.startswith("error: "), bad
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (["--hbar-axis", "1", "inf", "2", "--ratio-axis", "2", "3", "2"],
+         "--hbar-axis needs finite lo and hi, got 1.0 and inf"),
+        (["--hbar-axis", "1", "2", "2", "--ratio-axis", "nan", "3", "2"],
+         "--ratio-axis needs finite lo and hi, got nan and 3.0"),
+        (["--hbar-axis", "1", "2", "2", "--ratio-axis", "2", "nan", "2"],
+         "--ratio-axis needs finite lo and hi, got 2.0 and nan"),
+    ],
+    ids=["infinite-hi", "nan-lo", "nan-hi"],
+)
+def test_sweep_rejects_non_finite_axis_without_warnings(capsys, recwarn, axes, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", *axes]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in recwarn] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,98 @@
+"""A fresh process loads scipy only for the code paths that need it.
+
+The pytest process itself has scipy loaded (test_numerics imports it), so
+each check runs in a new interpreter with the package on PYTHONPATH.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def scipy_modules_after(code: str, *args: str) -> list:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    script = textwrap.dedent(code) + textwrap.dedent("""
+        import json, sys
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_double_integrator_commands_do_not_import_scipy(tmp_path):
+    raw = yaml.safe_load((ROOT / "configs" / "example1.yaml").read_text(encoding="utf-8"))
+    raw["batch"]["runs"] = 2
+    raw["schedule"]["steps"] = 60
+    config = tmp_path / "example1.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    loaded = scipy_modules_after(
+        """
+        import contextlib, io, sys
+        from sdconsensus import cli
+
+        config, out = sys.argv[1:]
+        commands = [
+            ["design", "--hbar", "3", "--lambda2", "0.3", "--lambdaN", "6"],
+            ["certify", "--hbar", "3", "--lambda2", "0.3", "--lambdaN", "6"],
+            ["sweep", "--hbar-axis", "3", "3", "1", "--ratio-axis", "20", "20", "1",
+             "--lambda2", "0.3"],
+            ["simulate", "--config", config, "--out", out],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == cli.EXIT_OK, argv
+        """,
+        str(config), str(tmp_path / "out"),
+    )
+    assert (tmp_path / "out" / "trajectories.csv").is_file()
+    assert loaded == []
+
+
+def test_general_plant_certificate_imports_scipy_linalg(tmp_path):
+    config = tmp_path / "general.yaml"
+    config.write_text(yaml.safe_dump({
+        "plant": {"kind": "general", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+        "gain": {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]},
+        "topology": {"random": {"agents": 5, "lambda_band": [0.3, 6.0]}},
+        "sampling": {"hbar": 3.0},
+        "certify": {"grid": [20, 20]},
+    }), encoding="utf-8")
+    loaded = scipy_modules_after(
+        """
+        import contextlib, io, sys
+        from sdconsensus import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["certify", "--config", sys.argv[1]]) != cli.EXIT_USAGE
+        """,
+        str(config),
+    )
+    assert "scipy.linalg" in loaded
+
+
+def test_verified_run_imports_scipy_sparse():
+    loaded = scipy_modules_after(
+        """
+        from sdconsensus import DesignSpec, PlantModel, design, sim
+
+        spec = DesignSpec(3.0, 0.3, 6.0)
+        sim.run(sim.SimulationConfig(
+            n_agents=5, plant=PlantModel.double_integrator(), hbar=spec.hbar,
+            steps=2, runs=1, seed=1, topology=sim.TopologyRecipe(0.3, 6.0),
+            design=design(spec), verify_step_forms=True,
+        ))
+        """
+    )
+    assert "scipy.sparse" in loaded

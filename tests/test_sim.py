@@ -260,6 +260,8 @@ def test_run_record_shapes(small_batch):
         assert np.all(rec.delta >= 0.0) and np.all(rec.nu >= 0.0)
     assert small_batch.certificate.verdict == "certified"
     assert len(small_batch.pool) == 3
+    assert list(small_batch.timings) == ["pool", "certify", "simulate"]
+    assert all(seconds >= 0.0 for seconds in small_batch.timings.values())
 
 
 def test_run_topology_switching_schedule(small_batch):
