@@ -15,6 +15,12 @@ it:
   above one refutes; a maximum at most 1 - guard reports "certified" in the
   sampled sense; anything else is inconclusive.  A finite grid cannot prove
   the universal statement, hence the explicit inconclusive verdict.
+
+For fixed h, sigma_max(M0 - lambda M1) is the norm of an affine function of
+lambda, hence convex in lambda: over a real interval it peaks at one of the
+two ends.  Both certifiers therefore evaluate a real band only at lambda2
+and lambdaN, and the reported maximum equals that of the full (nh, nl) grid,
+whose lambda axis starts and ends at exactly those values.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ _DI_B = np.array([[0.0], [1.0]])
 # reported worst sample) and default sample grid of the grid certificate
 _CONFIRM_GRID = (64, 64)
 _SAMPLE_GRID = (200, 200)
+# matrices per stacked singular value call: bounds the memory of a grid with
+# many explicit eigenvalues
+_STACK_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -204,17 +213,23 @@ def _worst_sample(
 ) -> tuple[float, tuple[float, complex]]:
     """Largest singular value of T^-1 (F - lambda G K) T on the sample grid
     h = hbar / nh, ..., hbar by ``lam_samples``, and the (h, lambda) where it
-    occurs."""
+    occurs (the first in row-major order on ties).
+
+    A real band comes in as its two ends only: by convexity in lambda they
+    carry the maximum of every h row.  The (h, lambda) stack is evaluated in
+    chunks of whole h rows holding at most ``_STACK_CAP`` matrices.
+    """
     h_samples = hbar * np.arange(1, nh + 1) / nh
     Tinv = np.linalg.inv(T)
     F, G = plant.discretize(h_samples)
-    base = Tinv @ F @ T
-    coupling = Tinv @ (G @ K) @ T
+    base = (Tinv @ F @ T)[:, None]
+    coupling = (Tinv @ (G @ K) @ T)[:, None]
+    lam = lam_samples[:, None, None]
     sigmas = np.empty((nh, len(lam_samples)))
-    # one h row at a time: a whole (nh, n_lambda) stack would dominate memory
-    for i in range(nh):
-        stack = base[i] - lam_samples[:, None, None] * coupling[i]
-        sigmas[i] = numerics.max_singular_values(stack)
+    rows = max(1, _STACK_CAP // len(lam_samples))
+    for i in range(0, nh, rows):
+        chunk = slice(i, i + rows)
+        sigmas[chunk] = numerics.max_singular_values(base[chunk] - lam * coupling[chunk])
     i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
     return float(sigmas[i, j]), (float(h_samples[i]), complex(lam_samples[j]))
 
@@ -244,16 +259,15 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
     Certified when the six strict gain inequalities and the extremal sign
     conditions all hold, which covers every (h, lambda) in
     (0, hbar] x [lambda2, lambdaN] by monotonicity of the entries.  A fixed
-    64x64 confirmation grid only supplies the reported worst sample; the
-    verdict does not depend on it unless the inequalities fail, in which
-    case a sample at or above one downgrades to "refuted" and otherwise the
-    result is "inconclusive".
+    64x64 confirmation grid only supplies the reported worst sample (its h
+    rows are evaluated at the two band ends, which carry each row's
+    maximum); the verdict does not depend on it unless the inequalities
+    fail, in which case a sample at or above one downgrades to "refuted"
+    and otherwise the result is "inconclusive".
     """
     nh, nl = _CONFIRM_GRID
-    lam_samples = np.linspace(spec.lambda2, spec.lambdaN, nl)
-    worst, point = _worst_sample(
-        PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, lam_samples
-    )
+    ends = np.array([spec.lambda2, spec.lambdaN])
+    worst, point = _worst_sample(PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, ends)
     if check_gain_inequalities(spec, dsn) and _sign_conditions(spec, dsn):
         return ContractionCertificate("certified", worst, point, "exact-inequality", (nh, nl))
     if worst >= 1.0:
@@ -289,11 +303,15 @@ def certify_grid(
 ) -> ContractionCertificate:
     """Sampled contraction check over (0, hbar] x a lambda set.
 
-    ``lambdas`` is either a (lo, hi) pair describing a real interval, which
-    is sampled with the grid's second resolution, or an explicit iterable of
-    (possibly complex) eigenvalues used as-is (fixed directed topologies).
-    The h axis excludes zero, where the map is the identity by construction;
-    the smallest sample is hbar / grid[0].
+    ``lambdas`` is either a (lo, hi) pair describing a real interval or an
+    explicit iterable of (possibly complex) eigenvalues used as-is (fixed
+    directed topologies); every value must be finite.  A real interval is
+    evaluated at its two ends only, which by convexity in lambda gives the
+    maximum of the full grid with ``grid[1]`` samples from lo to hi.
+    ``grid[1]`` is still validated (at least 2) and reported in
+    ``grid_shape``; it has no other effect.  The h axis excludes zero,
+    where the map is the identity by construction; the smallest sample is
+    hbar / grid[0].
     """
     K, T = _gain_pair(plant, K, T)
     if not (math.isfinite(hbar) and hbar > 0.0):
@@ -305,13 +323,18 @@ def certify_grid(
     if interval is not None:
         if nl < 2:
             raise ValueError("interval lambda sets need at least 2 samples")
-        lam_samples = np.linspace(*interval, nl)
+        values, lam_samples = interval, np.array(interval)
     else:
-        lam_samples = np.asarray(list(lambdas), dtype=complex)
+        values = list(lambdas)
+        lam_samples = np.asarray(values, dtype=complex)
         if lam_samples.size == 0:
             raise ValueError("lambda set must not be empty")
+        nl = len(lam_samples)
+    finite = np.isfinite(lam_samples)
+    if not finite.all():
+        raise ValueError(f"lambda values must be finite, got {values[int(np.argmin(finite))]}")
     worst, point = _worst_sample(plant, K, T, hbar, nh, lam_samples)
-    shape = (nh, len(lam_samples))
+    shape = (nh, nl)
     if worst >= 1.0:
         verdict = "refuted"
     elif worst <= 1.0 - guard:

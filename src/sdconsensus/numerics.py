@@ -94,8 +94,8 @@ def max_singular_values(stack) -> np.ndarray:
     """Largest singular value of every matrix in a (..., n, k) stack.
 
     2x2 stacks use the closed form derived from the Gram matrix invariants
-    (trace = squared Frobenius norm, determinant = |det|^2), which is what
-    keeps dense grid certification cheap; other shapes go through LAPACK.
+    (trace = squared Frobenius norm, determinant = |det|^2); other shapes go
+    through LAPACK.
     """
     arr = np.asarray(stack)
     if arr.ndim < 2:

@@ -5,7 +5,8 @@ Criterion 3 is expected to fail on its margin clause: the transformed
 closed-loop map tends to the identity as the sampling interval tends to
 zero, so the worst sampled singular value on a grid whose smallest h is
 hbar/500 sits around 1 - 5e-5, short of the demanded 1e-3 margin.  The
-failure is reported with the measured margins with the measured values rather than hidden.
+failure is reported with the measured margins and the bound -mu * hbar / 500
+they meet, rather than hidden.
 """
 
 import time
@@ -155,10 +156,26 @@ def test_criterion_2_gain_reproduction_example2():
     )
 
 
+def small_h_margin(plant, spec, dsn, nh):
+    """-mu * hbar / nh: the margin left at the grid's smallest interval.
+
+    mu = lambda_max((N + N^T)/2) is the log-norm of N = T^-1 (A - lambda B K) T
+    at the binding band end (the larger of the two), and sigma is
+    1 + h mu + O(h^2) as h -> 0.
+    """
+    Tinv = np.linalg.inv(dsn.T)
+    mu = -np.inf
+    for lam in (spec.lambda2, spec.lambdaN):
+        N = Tinv @ (plant.A - lam * plant.B @ dsn.K) @ dsn.T
+        mu = max(mu, np.linalg.eigvalsh((N + N.T) / 2.0)[-1])
+    return -mu * spec.hbar / nh
+
+
 def test_criterion_3_certificate_soundness():
     t0 = time.perf_counter()
     plant = PlantModel.double_integrator()
     margins = {}
+    bounds = {}
     exact_ok = True
     grid_below_one = True
     for label, spec_args in (("example1", (3.0, 0.3, 6.0)), ("example2", (1.0, 5.0, 60.0))):
@@ -170,6 +187,7 @@ def test_criterion_3_certificate_soundness():
         )
         grid_below_one &= grid.worst_sigma < 1.0
         margins[label] = grid.margin
+        bounds[label] = small_h_margin(plant, spec, dsn, 500)
     margin_ok = all(m > 1e-3 for m in margins.values())
 
     rng = np.random.default_rng(20260803)
@@ -198,11 +216,15 @@ def test_criterion_3_certificate_soundness():
     assert exact_ok and grid_below_one and fuzz_ok and time_ok, detail
     # Unattainable as specified: the transformed map tends to the identity
     # as h -> 0, so with the grid's smallest h at hbar/500 the achievable
-    # margin is about 5e-5 / 8e-5 for the two designs.  Asserted as stated
-    # rather than silently weakened; see the decision notes.
+    # margin is -mu * hbar / 500, about 5e-5 / 8e-5 for the two designs.
+    # Asserted as stated rather than silently weakened.
     assert margin_ok, (
-        "500x500 grid margin clause cannot hold: worst sigma approaches 1 "
-        f"as h -> 0 (measured margins {margins})"
+        "500x500 grid margin clause cannot hold: sigma = 1 + h mu + O(h^2) as "
+        "h -> 0, so the smallest interval hbar/500 leaves a margin of about "
+        "-mu * hbar / 500, with mu = lambda_max((N + N^T)/2) and "
+        "N = T^-1 (A - lambda B K) T at the binding band end: "
+        + ", ".join(f"{k} {v:.2e}" for k, v in bounds.items())
+        + f" (measured margins {margins})"
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sdconsensus import certify
 from sdconsensus.certify import (
     ContractionCertificate,
     PlantModel,
@@ -17,8 +18,8 @@ from sdconsensus.graph import (
     reduced_laplacian,
     reduction_basis,
 )
-from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value
-from sdconsensus.synthesis import design, limits
+from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value, max_singular_values
+from sdconsensus.synthesis import check_gain_inequalities, design, limits
 from test_synthesis import make_design, random_spec
 
 
@@ -26,6 +27,39 @@ def closed_loop_matrix(plant, K, lam, h):
     """Oracle for the sampled closed-loop map F(h) - lambda G(h) K."""
     F, G = plant.discretize(h)
     return F - lam * (G @ K)
+
+
+def full_grid_worst(plant, K, T, hbar, grid, lambdas):
+    """Oracle for the worst sample: every h row at every lambda sample, one
+    row per call, a real (lo, hi) interval sampled on the full linspace."""
+    nh, nl = grid
+    if isinstance(lambdas, tuple):
+        lam = np.linspace(*lambdas, nl)
+    else:
+        lam = np.asarray(lambdas, dtype=complex)
+    h = hbar * np.arange(1, nh + 1) / nh
+    Tinv = np.linalg.inv(T)
+    F, G = plant.discretize(h)
+    base = Tinv @ F @ T
+    coupling = Tinv @ (G @ K) @ T
+    sigmas = np.empty((nh, len(lam)))
+    for i in range(nh):
+        sigmas[i] = max_singular_values(base[i] - lam[:, None, None] * coupling[i])
+    i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
+    return float(sigmas[i, j]), (float(h[i]), complex(lam[j])), (nh, len(lam))
+
+
+def grid_verdict(worst, guard=1e-6):
+    if worst >= 1.0:
+        return "refuted"
+    return "certified" if worst <= 1.0 - guard else "inconclusive"
+
+
+def assert_matches_full_grid(cert, worst, point, shape, verdict):
+    assert cert.worst_sigma == worst
+    assert cert.worst_point == point
+    assert cert.grid_shape == shape
+    assert cert.verdict == verdict
 
 
 def transformed_by_product(h, lam, dsn):
@@ -294,6 +328,56 @@ def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
         certify_grid(di_plant, dsn.K, dsn.T, -1.0, (0.3, 6.0))
     with pytest.raises(ValueError):
         certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, 6.0), grid=(10, 1))
+    with pytest.raises(ValueError, match="lambda values must be finite, got nan"):
+        certify_grid(di_plant, dsn.K, dsn.T, 3.0, (float("nan"), 6.0))
+    with pytest.raises(ValueError, match="lambda values must be finite, got inf"):
+        certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, float("inf")))
+    with pytest.raises(ValueError, match="lambda values must be finite, got nan"):
+        certify_grid(di_plant, dsn.K, dsn.T, 3.0, [0.3, float("nan")])
+
+
+def test_real_band_ends_match_full_grid():
+    # sigma_max(M0 - lambda M1) is convex in lambda, so a real band is
+    # evaluated at its two ends only; the oracle samples the whole linspace
+    rng = np.random.default_rng(20261018)
+    di = PlantModel.double_integrator()
+    tagged = PlantModel.general(di.A, di.B)
+    for _ in range(8):
+        spec = random_spec(rng)
+        band = (spec.lambda2, spec.lambdaN)
+        dsn = design(spec)
+        worst, point, shape = full_grid_worst(di, dsn.K, dsn.T, spec.hbar, (64, 64), band)
+        holds = check_gain_inequalities(spec, dsn) and certify._sign_conditions(spec, dsn)
+        verdict = "certified" if holds else ("refuted" if worst >= 1.0 else "inconclusive")
+        cert = certify_double_integrator(spec, dsn)
+        assert_matches_full_grid(cert, worst, point, shape, verdict)
+        for K in (dsn.K, dsn.K * rng.uniform(0.3, 4.0)):
+            for plant, grid in ((di, (500, 500)), (tagged, (200, 200))):
+                worst, point, shape = full_grid_worst(plant, K, dsn.T, spec.hbar, grid, band)
+                cert = certify_grid(plant, K, dsn.T, spec.hbar, band, grid=grid)
+                assert_matches_full_grid(cert, worst, point, shape, grid_verdict(worst))
+    # a 3-state general plant goes through the LAPACK singular values
+    A = 0.5 * rng.normal(size=(3, 3)) - 1.5 * np.eye(3)
+    B = rng.normal(size=(3, 1))
+    K = 0.3 * rng.normal(size=(1, 3))
+    plant = PlantModel.general(A, B)
+    worst, point, shape = full_grid_worst(plant, K, np.eye(3), 0.2, (50, 40), (1.0, 3.0))
+    cert = certify_grid(plant, K, None, 0.2, (1.0, 3.0), grid=(50, 40))
+    assert_matches_full_grid(cert, worst, point, shape, grid_verdict(worst))
+
+
+@pytest.mark.parametrize("cap", [3, 12])
+def test_chunked_eigenvalue_grid_matches_row_loop(monkeypatch, di_plant, example1_design, cap):
+    # a fixed digraph's 5 complex eigenvalues over 25 h rows: 1 or 2 rows per
+    # chunk, the last chunk partial
+    g = WeightedDigraph.from_edges(6, [(i, (i - 1) % 6, 1.0 + 0.1 * i) for i in range(6)])
+    lambdas = consensus_eigenvalues(g)
+    assert len(lambdas) == 5 and np.abs(lambdas.imag).max() > 0.1
+    monkeypatch.setattr(certify, "_STACK_CAP", cap)
+    dsn = example1_design
+    worst, point, shape = full_grid_worst(di_plant, dsn.K, dsn.T, 3.0, (25, 1), lambdas)
+    cert = certify_grid(di_plant, dsn.K, dsn.T, 3.0, lambdas, grid=(25, 1))
+    assert_matches_full_grid(cert, worst, point, shape, grid_verdict(worst))
 
 
 def test_exact_certificate_never_grid_refuted_sample():
