@@ -222,7 +222,8 @@ def read_graph_file(path) -> WeightedDigraph:
     First non-comment line: the node count, optionally followed by the word
     ``symmetric``.  Each further line is ``i j w`` (1-based): a link of
     weight w carrying agent j's state to agent i.  Under ``symmetric`` each
-    pair is listed once and installed in both directions.
+    pair is listed once and installed in both directions.  A link listed
+    twice (under ``symmetric``, as ``i j`` and ``j i`` too) is an error.
     """
     lines = []
     with open(path, "r", encoding="utf-8") as f:
@@ -243,7 +244,7 @@ def read_graph_file(path) -> WeightedDigraph:
             f"{path}, line {number}: bad header {text!r}, expected 'n' or 'n symmetric'"
         )
     symmetric = len(head) == 2
-    edges = []
+    edges, first_line = [], {}
     for number, text in lines[1:]:
         try:
             i, j, weight = text.split()
@@ -254,6 +255,12 @@ def read_graph_file(path) -> WeightedDigraph:
             ) from None
         if not (0 <= edge[0] < n and 0 <= edge[1] < n):
             raise ConfigError(f"{path}, line {number}: edge endpoints out of range in {text!r}")
+        link = tuple(sorted(edge[:2])) if symmetric else edge[:2]
+        if link in first_line:
+            raise ConfigError(
+                f"{path}, lines {first_line[link]} and {number}: link {i} {j} is given twice"
+            )
+        first_line[link] = number
         edges.append(edge)
     try:
         return WeightedDigraph.from_edges(n, edges, symmetric)
@@ -407,9 +414,12 @@ def _certify_from_config(path) -> tuple[ContractionCertificate, dict]:
 
 
 def cmd_certify(args) -> int:
+    inline = (args.hbar, args.lambda2, args.lambdaN)
     if args.config is not None:
+        if inline != (None, None, None):
+            raise ConfigError("give --config or --hbar --lambda2 --lambdaN, not both")
         cert, extra = _certify_from_config(args.config)
-    elif None in (args.hbar, args.lambda2, args.lambdaN):
+    elif None in inline:
         raise ConfigError("give --config or all of --hbar --lambda2 --lambdaN")
     else:
         spec = DesignSpec(args.hbar, args.lambda2, args.lambdaN)

@@ -14,8 +14,8 @@ block of states, whose metrics are computed in one call: each step takes
 Y = X - x_0 (differences to agent 0) and the coupling W Y - deg Y, which is
 shift-invariant, so exact agreement gives an exactly zero coupling and stays
 exact.  ``step`` is the same kernel with one run.  The optional cross-check
-applies I kron F - L kron G K as X F^T - (L kron I_s) x (G K)^T, with
-L kron I_s one sparse matrix per pool graph.
+applies I kron F - L kron G K as X F^T - (L X)(G K)^T with the dense
+Laplacian L, since (L kron I_s) x = L X, to every step of a block at once.
 
 Every trajectory records the disagreement metric and the transformed reduced
 norm, whose strict decrease is the certified contraction at work.  The norm
@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_INIT_BOUNDS = ((-10.0, 10.0), (-1.0, 1.0))
-# a segment advances in blocks of at most this many state entries (16 MB)
+# a segment advances in blocks of at most this many state entries (16 MB);
+# a verified block holds about two more block-sized temporaries for its check
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -201,25 +202,18 @@ def _advance(X, W, deg, F, GK):
     return X @ F.transpose(0, 2, 1) + coupling @ GK.transpose(0, 2, 1)
 
 
-def _kronecker_map(L, s: int):
-    """L kron I_s as one CSR matrix of s nnz(L) entries (scipy's default BSR
-    format would store zeros): ``kmap @ x`` applies L to every component."""
-    # a cold import of scipy.sparse takes about 0.4 s; verified runs and
-    # step_kronecker are the only simulator paths that pay it
-    from scipy import sparse
-    return sparse.kron(L, sparse.identity(s), format="csr")
-
-
-def _advance_kronecker(X, kmap, F, GK):
+def _advance_kronecker(X, L, F, GK):
     """The step of ``_advance`` as (I kron F - L kron G K) on each stacked state.
 
-    ``kmap`` is the ``_kronecker_map`` of the Laplacian L.  Since
-    L kron G K = (I kron G K)(L kron I_s), each run's step is
-    X F^T - (kmap x) (G K)^T, which forms each L x_b once.
+    ``X`` is (..., n, s) and ``L`` the dense n x n Laplacian; the leading
+    axes of ``X``, ``F`` and ``GK`` (..., s, s) broadcast.  Since
+    (L kron I_s) x = L X and L kron G K = (I kron G K)(L kron I_s), the step
+    is X F^T - (L X)(G K)^T.  L X is one matrix product over every agent
+    column of X, not one per leading index.
     """
-    runs, n, s = X.shape
-    LX = (kmap @ X.reshape(runs, n * s).T).T.reshape(X.shape)
-    return X @ F.transpose(0, 2, 1) - LX @ GK.transpose(0, 2, 1)
+    cols = np.moveaxis(X, -2, 0)
+    LX = np.moveaxis((L @ cols.reshape(len(L), -1)).reshape(cols.shape), 0, -2)
+    return X @ np.swapaxes(F, -1, -2) - LX @ np.swapaxes(GK, -1, -2)
 
 
 def _disagreements(X) -> np.ndarray:
@@ -264,7 +258,7 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     Cross-check path for ``step``; the two agree to rounding.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    return _advance_kronecker(X, _kronecker_map(laplacian(g), plant.n), F, GK)[0]
+    return _advance_kronecker(X, laplacian(g), F, GK)[0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:
@@ -386,8 +380,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     states = np.empty((runs, steps + 1) + X.shape[1:]) if config.record_states else None
     gap = np.zeros(runs)
     degrees = [g.weights.sum(axis=1) for g in pool]
-    verify = config.verify_step_forms
-    kmaps = [_kronecker_map(laplacian(g), X.shape[2]) for g in pool] if verify else None
+    laplacians = [laplacian(g) for g in pool] if config.verify_step_forms else None
     period = config.switch_period or steps
     length = max(1, min(period, _BLOCK_ENTRIES // X.size))
     # sorted sets, not np.union1d/np.unique: those import numpy.ma on first use
@@ -402,13 +395,11 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             GK = G @ K
             seg = np.empty((stop - start + 1, len(idx)) + X.shape[1:])
             seg[0] = X[idx]
-            err = np.zeros((stop - start, len(idx)))
             for j in range(stop - start):
                 seg[j + 1] = _advance(seg[j], pool[g].weights, degrees[g], F[j], GK[j])
-                if verify:
-                    other = _advance_kronecker(seg[j], kmaps[g], F[j], GK[j])
-                    err[j] = np.abs(seg[j + 1] - other).max(axis=(1, 2))
-            gap[idx] = np.maximum(gap[idx], err.max(axis=0))
+            if laplacians is not None:
+                other = _advance_kronecker(seg[:-1], laplacians[g], F, GK)
+                gap[idx] = np.maximum(gap[idx], np.abs(seg[1:] - other).max(axis=(0, 2, 3)))
             flat = seg.reshape((-1,) + X.shape[1:])  # rows: steps, then runs
             delta[idx, start:stop + 1] = _disagreements(flat).reshape(-1, len(idx)).T
             nu[idx, start:stop + 1] = _reduced_norms(flat, Tinv).reshape(-1, len(idx)).T

@@ -92,6 +92,19 @@ def test_certify_inline_needs_all_args(capsys):
     assert rc == cli.EXIT_USAGE
 
 
+def test_certify_config_rejects_inline_flags(tmp_path, capsys):
+    # inline flags next to --config are an error, not silently ignored
+    report = tmp_path / "cert.json"
+    for flags in (["--hbar", "100", "--lambda2", "1", "--lambdaN", "1000"], ["--lambda2", "1"]):
+        rc = cli.main(["certify", "--config", str(CONFIG_DIR / "example1.yaml"),
+                       *flags, "--report", str(report)])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: give --config or --hbar --lambda2 --lambdaN, not both\n"
+        assert captured.out == ""
+        assert not report.exists()
+
+
 def test_certify_zero_gain_config(tmp_path, capsys):
     cfg = sim_config_dict()
     del cfg["design"]
@@ -695,10 +708,18 @@ def test_graph_file_comments_and_errors(tmp_path):
     # a parse error names the file and the line it is on
     for text, line in [("abc\n", "line 1: bad header 'abc'"),
                        ("2\n# edges\n1 2 x\n", "line 3: bad edge '1 2 x'"),
-                       ("2\n1 2.5 1\n", "line 2: bad edge '1 2.5 1'")]:
+                       ("2\n1 2.5 1\n", "line 2: bad edge '1 2.5 1'"),
+                       # a repeated link names both of its lines
+                       ("3\n1 2 0.5\n1 2 5.0\n", "lines 2 and 3: link 1 2 is given twice"),
+                       ("3 symmetric\n1 2 0.5\n# reverse\n2 1 5.0\n",
+                        "lines 2 and 4: link 2 1 is given twice")]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(cli.ConfigError, match=re.escape(f"{bad}, {line}")):
             cli.read_graph_file(bad)
+    # without symmetric, i j and j i are two links
+    bad.write_text("2\n1 2 0.5\n2 1 5.0\n", encoding="utf-8")
+    g = cli.read_graph_file(bad)
+    assert (g.weights[0, 1], g.weights[1, 0]) == (0.5, 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -82,17 +82,19 @@ def test_general_plant_certificate_imports_scipy_linalg(tmp_path):
     assert "scipy.linalg" in loaded
 
 
-def test_verified_run_imports_scipy_sparse():
+def test_step_form_cross_check_does_not_import_scipy():
     loaded = scipy_modules_after(
         """
+        import numpy as np
         from sdconsensus import DesignSpec, PlantModel, design, sim
 
-        spec = DesignSpec(3.0, 0.3, 6.0)
-        sim.run(sim.SimulationConfig(
-            n_agents=5, plant=PlantModel.double_integrator(), hbar=spec.hbar,
-            steps=2, runs=1, seed=1, topology=sim.TopologyRecipe(0.3, 6.0),
-            design=design(spec), verify_step_forms=True,
+        spec, plant = DesignSpec(3.0, 0.3, 6.0), PlantModel.double_integrator()
+        dsn = design(spec)
+        result = sim.run(sim.SimulationConfig(
+            n_agents=5, plant=plant, hbar=spec.hbar, steps=2, runs=1, seed=1,
+            topology=sim.TopologyRecipe(0.3, 6.0), design=dsn, verify_step_forms=True,
         ))
+        sim.step_kronecker(np.ones((5, 2)), result.pool[0], dsn.K, 1.0, plant)
         """
     )
-    assert "scipy.sparse" in loaded
+    assert loaded == []

@@ -89,8 +89,8 @@ def test_step_pair_matches_kronecker_oracle(di_plant, example1_design):
 
 
 def test_step_forms_agree(di_plant, example1_design):
-    # state sizes 1, 2 and 3: at s = 3 a wrong order of the unit matrices
-    # E_ab (block a s + b) would show
+    # state sizes 1, 2 and 3: at s >= 2 reading the stacked state x as L X
+    # with the agent and component axes swapped would show
     rng = np.random.default_rng(2)
     plants = [
         (PlantModel.general([[-0.3]], [[1.0]]), np.array([[0.4]])),
@@ -112,17 +112,25 @@ def test_step_forms_agree(di_plant, example1_design):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-def test_kronecker_map_forms_each_laplacian_product_once():
-    # L kron I_s holds each entry of L once per state component, no stored zeros
-    w = np.zeros((5, 5))
-    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 3)):
-        w[i, j] = w[j, i] = 0.5 + i
+def test_advance_kronecker_steps_a_block_at_once():
+    # a (steps, runs, n, s) block with its own F and G K per (step, run) gives,
+    # item by item, the assembled (I kron F - L kron G K) x; distinct sizes and
+    # a directed graph (L not symmetric) make a mixed-up axis show
+    rng = np.random.default_rng(5)
+    steps, runs, n = 3, 4, 6
+    w = rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(w, 0.0)
     L = laplacian(WeightedDigraph(w))
     for s in (1, 2, 3):
-        kmap = sim._kronecker_map(L, s)
-        assert kmap.format == "csr"
-        assert kmap.nnz == s * np.count_nonzero(L)
-        np.testing.assert_array_equal(kmap.toarray(), np.kron(L, np.eye(s)))
+        X = rng.uniform(-5.0, 5.0, (steps, runs, n, s))
+        F = rng.uniform(-1.0, 1.0, (steps, runs, s, s))
+        GK = rng.uniform(-1.0, 1.0, (steps, runs, s, s))
+        got = sim._advance_kronecker(X, L, F, GK)
+        assert got.shape == X.shape
+        for k, r in itertools.product(range(steps), range(runs)):
+            phi = np.kron(np.eye(n), F[k, r]) - np.kron(L, GK[k, r])
+            want = (phi @ X[k, r].reshape(-1)).reshape(n, s)
+            np.testing.assert_allclose(got[k, r], want, rtol=0.0, atol=1e-12)
 
 
 def test_step_permutation_equivariance(di_plant, example1_design):
