@@ -12,7 +12,7 @@ it:
   (0, hbar] x [lambda2, lambdaN] is covered; this is the sound certifier.
 
 * ``certify_grid`` samples the region on a finite grid.  A sample at or
-  above one refutes; a maximum at most 1 - guard reports "certified" in the
+  above one refutes; a maximum at most 1 - 1e-6 reports "certified" in the
   sampled sense; anything else is inconclusive.  A finite grid cannot prove
   the universal statement, hence the explicit inconclusive verdict.
 
@@ -50,9 +50,11 @@ _DI_A = np.array([[0.0, 1.0], [0.0, 0.0]])
 _DI_B = np.array([[0.0], [1.0]])
 
 # fixed confirmation grid of the exact certificate (it only feeds the
-# reported worst sample) and default sample grid of the grid certificate
+# reported worst sample), default sample grid of the grid certificate and
+# the distance below one that its sampled maximum needs for "certified"
 _CONFIRM_GRID = (64, 64)
 _SAMPLE_GRID = (200, 200)
+_GUARD = 1e-6
 # matrices per stacked singular value call: bounds the memory of a grid with
 # many explicit eigenvalues
 _STACK_CAP = 2**16
@@ -73,6 +75,9 @@ class PlantModel:
             raise ValueError("A must be square")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError("B must have as many rows as A")
+        for name, M in (("A", A), ("B", B)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must have finite entries")
         if np.linalg.matrix_rank(B) != B.shape[1]:
             raise ValueError("B must have full column rank")
         if self.kind == DOUBLE_INTEGRATOR:
@@ -193,11 +198,15 @@ def _gain_pair(plant: PlantModel, K, T) -> tuple[np.ndarray, np.ndarray]:
     K = np.asarray(K, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
+    if not np.isfinite(K).all():
+        raise ValueError("K must have finite entries")
     if T is None:
         return K, np.eye(plant.n)
     T = np.asarray(T, dtype=float)
     if T.shape != (plant.n, plant.n):
         raise ValueError("T must be square with the plant dimension")
+    if not np.isfinite(T).all():
+        raise ValueError("T must have finite entries")
     if abs(np.linalg.det(T)) < 1e-300:
         raise ValueError("T must be invertible")
     return K, T
@@ -299,7 +308,6 @@ def certify_grid(
     hbar: float,
     lambdas,
     grid: tuple[int, int] = _SAMPLE_GRID,
-    guard: float = 1e-6,
 ) -> ContractionCertificate:
     """Sampled contraction check over (0, hbar] x a lambda set.
 
@@ -337,19 +345,17 @@ def certify_grid(
     shape = (nh, nl)
     if worst >= 1.0:
         verdict = "refuted"
-    elif worst <= 1.0 - guard:
+    elif worst <= 1.0 - _GUARD:
         verdict = "certified"
     else:
         verdict = "inconclusive"
-    return ContractionCertificate(verdict, worst, point, "grid-sample", shape, guard)
+    return ContractionCertificate(verdict, worst, point, "grid-sample", shape, _GUARD)
 
 
 def certify_gain(
     plant: PlantModel,
     hbar: float,
     lambdas,
-    grid: tuple[int, int] = _SAMPLE_GRID,
-    guard: float = 1e-6,
     *,
     design: GainDesign | None = None,
     gain=None,
@@ -362,9 +368,8 @@ def certify_gain(
     over a real interval ``lambdas`` = (lo, hi) gets the exact certificate,
     which covers every (h, lambda) in (0, hbar] x [lo, hi].  Everything
     else (raw gains, general plants, the explicit eigenvalues of a fixed
-    digraph) gets the grid certificate of K under T.  ``grid`` and ``guard``
-    only apply to the grid certificate, so the exact certificate reports the
-    same worst sample whoever asks.
+    digraph) gets the 200x200 grid certificate of K under T.  A gain, its
+    plant, hbar and lambda set therefore have one certificate, whoever asks.
     """
     if (design is None) == (gain is None):
         raise ValueError("give exactly one of design or gain")
@@ -373,7 +378,7 @@ def certify_gain(
         if plant.kind == DOUBLE_INTEGRATOR and interval is not None:
             return certify_double_integrator(DesignSpec(hbar, *interval), design)
         gain, transform = design.K, design.T
-    return certify_grid(plant, gain, transform, hbar, lambdas, grid, guard)
+    return certify_grid(plant, gain, transform, hbar, lambdas)
 
 
 def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float:

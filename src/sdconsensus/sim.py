@@ -85,6 +85,8 @@ class TopologyRecipe:
             raise ValueError("band must be finite with 0 < lambda_lo <= lambda_hi")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"topology seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must be in [0, 1]")
 
@@ -130,6 +132,8 @@ class SimulationConfig:
             raise ValueError("consensus needs at least two agents")
         if self.steps < 1 or self.runs < 1:
             raise ValueError("steps and runs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.hbar) and self.hbar > 0.0):
             raise ValueError("hbar must be positive and finite")
         if self.h_min is None:

@@ -86,6 +86,11 @@ def test_plant_validation():
         PlantModel.general(np.eye(2), np.zeros((2, 1)))  # rank-deficient B
     with pytest.raises(ValueError):
         PlantModel.general(np.zeros((2, 3)), np.zeros((2, 1)))
+    # non-finite entries are named as such, not as a rank or expm failure
+    for A, B, name in (([[np.nan, 1.0], [0.0, 0.0]], [[0.0], [1.0]], "A"),
+                       ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [np.inf]], "B")):
+        with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+            PlantModel.general(A, B)
 
 
 def test_discretize_double_integrator_closed_form(di_plant):
@@ -334,6 +339,12 @@ def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
         certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, float("inf")))
     with pytest.raises(ValueError, match="lambda values must be finite, got nan"):
         certify_grid(di_plant, dsn.K, dsn.T, 3.0, [0.3, float("nan")])
+    # a non-finite gain is an input error, not an inconclusive nan certificate
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^K must have finite entries$"):
+            certify_grid(di_plant, [[bad, 0.1]], dsn.T, 3.0, (0.3, 6.0))
+        with pytest.raises(ValueError, match="^T must have finite entries$"):
+            certify_grid(di_plant, dsn.K, [[118.0, bad], [0.0, 2.0]], 3.0, (0.3, 6.0))
 
 
 def test_real_band_ends_match_full_grid():

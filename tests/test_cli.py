@@ -109,7 +109,6 @@ def test_certify_zero_gain_config(tmp_path, capsys):
     cfg = sim_config_dict()
     del cfg["design"]
     cfg["gain"] = {"K": [[0.0, 0.0]]}
-    cfg["certify"] = {"grid": [40, 40]}
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     report = tmp_path / "cert.json"
     rc = cli.main(["certify", "--config", path, "--report", str(report)])
@@ -137,7 +136,7 @@ def test_certify_fixed_mode_balanced_graph(tmp_path, capsys):
     graph_file.write_text("2 symmetric\n1 2 1.0\n", encoding="utf-8")
     cfg = sim_config_dict()
     cfg["topology"] = {"graphs": ["pair.graph"]}
-    cfg["certify"] = {"mode": "fixed", "grid": [50, 2]}
+    cfg["certify"] = {"mode": "fixed"}
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     rc = cli.main(["certify", "--config", path])
     assert rc == cli.EXIT_OK  # lambda = 2 sits inside the designed band
@@ -178,6 +177,63 @@ def test_certify_config_report_matches_inline(tmp_path):
     payload = json.loads(by_config.read_text())
     del payload["config_digest"]
     assert payload == json.loads(inline.read_text())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # example1 design
+        {"gain": {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]}},
+        {
+            "plant": {"kind": "general", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+            "gain": {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]},
+        },
+        {"topology": {"graphs": ["a.graph", "b.graph"]}},
+    ],
+    ids=["design", "raw-gain-with-T", "general-plant-raw-gain", "graph-pool"],
+)
+def test_certify_report_equals_simulate_manifest_certificate(tmp_path, overrides):
+    # one certificate per config: both commands make the same certify_gain call
+    (tmp_path / "a.graph").write_text("3 symmetric\n1 2 1.0\n2 3 1.0\n", encoding="utf-8")
+    (tmp_path / "b.graph").write_text("3 symmetric\n1 2 1.0\n2 3 1.0\n1 3 1.0\n",
+                                      encoding="utf-8")
+    cfg = sim_config_dict(**overrides)
+    if "gain" in overrides:
+        del cfg["design"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    report = tmp_path / "cert.json"
+    assert cli.main(["certify", "--config", path, "--report", str(report)]) == cli.EXIT_OK
+    out_dir = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out_dir)]) == cli.EXIT_OK
+    payload = json.loads(report.read_text())
+    del payload["config_digest"]
+    assert payload == json.loads((out_dir / "manifest.json").read_text())["certificate"]
+
+
+@pytest.mark.parametrize(
+    "plant, gain, message",
+    [
+        (None, {"K": [[float("nan"), 0.1]]}, "K must have finite entries"),
+        (None, {"K": [[0.0009, 0.1093]], "T": [[118.0, float("inf")], [0.0, 2.0]]},
+         "T must have finite entries"),
+        ({"kind": "general", "A": [[float("nan"), 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+         {"K": [[0.0009, 0.1093]]}, "A must have finite entries"),
+        ({"kind": "general", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [float("inf")]]},
+         {"K": [[0.0009, 0.1093]]}, "B must have finite entries"),
+    ],
+    ids=["nan-K", "inf-T", "nan-A", "inf-B"],
+)
+def test_non_finite_gain_or_plant_exits_usage(tmp_path, capsys, plant, gain, message):
+    cfg = sim_config_dict(gain=gain)
+    del cfg["design"]
+    if plant is not None:
+        cfg["plant"] = plant
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    capsys.readouterr()
+    for command in (["certify"], ["simulate", "--out", str(tmp_path / "out")]):
+        assert cli.main([*command, "--config", path]) == cli.EXIT_USAGE, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +284,21 @@ def test_simulate_assert_convergence(tmp_path):
          "--assert-convergence", "1e-15"]
     )
     assert rc == cli.EXIT_REFUTED
+
+
+def test_simulate_assert_convergence_fails_on_a_diverged_batch(tmp_path, capsys):
+    # the states overflow to inf and then nan, so the ratio is nan, which is not <= R
+    cfg = sim_config_dict(schedule={"steps": 20, "switch_period": 50})
+    del cfg["design"]
+    cfg["gain"] = {"K": [[1e200, 1e200]]}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    with np.errstate(all="ignore"):
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out"),
+                       "--force", "--assert-convergence", "1e-3"])
+    assert rc == cli.EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert "(ratio nan)" in captured.out
+    assert "convergence assertion failed: ratio nan is not <= 1.000e-03" in captured.err
 
 
 @pytest.mark.parametrize("bound", ["nan", "inf", "-inf", "-0.5"])
@@ -306,6 +377,7 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     boolean_runs = sim_config_dict(batch={"runs": True, "seed": 1})
     fractional_grid = sim_config_dict(certify={"grid": [20.9, 3.9]})
     short_grid = sim_config_dict(certify={"grid": [200]})
+    guard = sim_config_dict(certify={"guard": 0.5})
     # text fields take text only, choice fields one of their choices
     mapping_dir = sim_config_dict(output={"dir": {"a": 1}})
     number_dir = sim_config_dict(output={"dir": 7})
@@ -325,6 +397,7 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                              ("boolean_runs", boolean_runs, "batch.runs"),
                              ("fractional_grid", fractional_grid, "certify.grid"),
                              ("short_grid", short_grid, "certify.grid"),
+                             ("guard", guard, "certify.guard"),
                              ("mapping_dir", mapping_dir, "output.dir"),
                              ("number_dir", number_dir, "output.dir"),
                              ("unknown_kind", unknown_kind, "plant.kind"),
@@ -339,14 +412,22 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
         assert err.startswith("error: "), name
         assert field in err, (name, err)
         assert not (tmp_path / name).exists(), name
-    for name in ("fractional_grid", "short_grid"):
+    # the removed certify fields are unknown keys to both commands, which
+    # write no report and no output directory
+    report, out_dir = tmp_path / "report.json", tmp_path / "out"
+    for name, field in (("fractional_grid", "certify.grid"), ("short_grid", "certify.grid"),
+                        ("guard", "certify.guard")):
         for gain in ({}, {"gain": RAW_GAIN}):
             cfg = yaml.safe_load((tmp_path / f"{name}.yaml").read_text())
             if gain:
                 del cfg["design"]
             path = write_yaml(tmp_path / "certify.yaml", {**cfg, **gain})
-            assert cli.main(["certify", "--config", path]) == cli.EXIT_USAGE, (name, gain)
-            assert "certify.grid" in capsys.readouterr().err, (name, gain)
+            for command in (["certify"], ["simulate", "--out", str(out_dir)]):
+                rc = cli.main([*command, "--config", path, "--report", str(report)])
+                assert rc == cli.EXIT_USAGE, (name, gain, command)
+                err = capsys.readouterr().err
+                assert err == f"error: unknown config keys: ['{field}']\n", (name, gain, command)
+            assert not report.exists() and not out_dir.exists(), (name, gain)
 
 
 @pytest.mark.parametrize(
@@ -370,15 +451,29 @@ def test_bad_random_recipe_exits_usage_without_warnings(tmp_path, capsys, recwar
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"batch": {"runs": 2, "seed": -1}}, "seed must be nonnegative, got -1"),
+        ({"topology": {"random": {"agents": 5, "lambda_band": [0.3, 6.0], "seed": -2}}},
+         "topology seed must be nonnegative, got -2"),
+    ],
+    ids=["batch-seed", "topology-seed"],
+)
+def test_negative_seed_exits_usage(tmp_path, capsys, overrides, message):
+    path = write_yaml(tmp_path / "cfg.yaml", sim_config_dict(**overrides))
+    out_dir = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out_dir)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_whole_number_fields_resolve_as_before():
-    cfg = sim_config_dict(batch={"runs": 2.0, "seed": 7.0}, certify={"grid": [20.0, 3]})
+    cfg = sim_config_dict(batch={"runs": 2.0, "seed": 7.0})
     resolved = cli.resolve_config(cfg)
     assert resolved["batch"] == {"runs": 2, "seed": 7}
-    assert resolved["certify"]["grid"] == [20, 3]
-    assert all(type(v) is int for v in (*resolved["batch"].values(), *resolved["certify"]["grid"]))
-    assert resolved == cli.resolve_config(
-        sim_config_dict(batch={"runs": 2, "seed": 7}, certify={"grid": [20, 3]})
-    )
+    assert all(type(v) is int for v in resolved["batch"].values())
+    assert resolved == cli.resolve_config(sim_config_dict(batch={"runs": 2, "seed": 7}))
 
 
 def test_simulate_with_graph_file_pool(tmp_path):
@@ -504,7 +599,7 @@ def test_no_bad_schema_value_escapes_main(tmp_path, capsys):
         batch={"runs": 2, "seed": 3},
     )
     with_gain = {k: v for k, v in base.items() if k != "design"}
-    with_gain.update(gain=RAW_GAIN, certify={"grid": [8, 4]})
+    with_gain.update(gain=RAW_GAIN)
     fields = list(schema_fields())
     assert ("topology", "random", "edge_prob") in fields and ("output", "full_state") in fields
     for field in fields:
@@ -649,12 +744,13 @@ def test_config_digest_changes_with_content(tmp_path):
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("example1", "0569b04c6c6f46346b01ea33f1a8da4b5dad54ec6ce2a852e30217aa927dd7f0"),
-        ("example2", "63cf57cfd835a7337e449e84beb0cbce89d893c59829c43e17d0e3ef043975fc"),
+        ("example1", "915f5cb25503ebb4b5eeda4e61b8ba1d536f67aa4d8ea6571e034ea3da8d2a97"),
+        ("example2", "9c10b746fea3c3f732cc3631543cd8b94bac5c728dcbb75248b293b25917ee7f"),
     ],
 )
 def test_committed_config_digests_are_pinned(name, digest):
-    # manifests of earlier runs name these digests; a schema change must keep them
+    # manifests of earlier runs name these digests; a schema change keeps them
+    # unless it removes a field (certify.grid and certify.guard went)
     resolved = cli.resolve_config(cli.load_config(CONFIG_DIR / f"{name}.yaml"))
     assert cli.config_digest(resolved) == digest
 
@@ -712,7 +808,14 @@ def test_graph_file_comments_and_errors(tmp_path):
                        # a repeated link names both of its lines
                        ("3\n1 2 0.5\n1 2 5.0\n", "lines 2 and 3: link 1 2 is given twice"),
                        ("3 symmetric\n1 2 0.5\n# reverse\n2 1 5.0\n",
-                        "lines 2 and 4: link 2 1 is given twice")]:
+                        "lines 2 and 4: link 2 1 is given twice"),
+                       # a link that parses but is invalid names its line too
+                       ("2\n1 1 0.5\n", "line 2: self-loop in '1 1 0.5'"),
+                       ("2 symmetric\n# weights\n1 2 -1\n",
+                        "line 3: weight must be finite and nonnegative in '1 2 -1'"),
+                       ("2\n1 2 nan\n",
+                        "line 2: weight must be finite and nonnegative in '1 2 nan'"),
+                       ("-3\n", "line 1: bad header '-3'")]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(cli.ConfigError, match=re.escape(f"{bad}, {line}")):
             cli.read_graph_file(bad)
@@ -742,3 +845,21 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     assert {argv[0] for argv in commands} == {"design", "certify", "simulate", "sweep"}
     for argv in commands:
         assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def yaml_key_paths(node, prefix=()):
+    """Every key path of a nested mapping, nested ones included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from yaml_key_paths(value, prefix + (key,))
+
+
+def test_readme_config_block_names_only_schema_fields():
+    # a field removed from the schema cannot stay documented
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration file", 1)[1]
+    documented = yaml.safe_load(re.search(r"```yaml\n(.*?)```", section, re.S).group(1))
+    paths = set(yaml_key_paths(documented))
+    assert ("certify", "mode") in paths and ("topology", "random", "edge_prob") in paths
+    assert sorted(paths - set(schema_fields())) == []

@@ -67,7 +67,6 @@ def test_general_plant_certificate_imports_scipy_linalg(tmp_path):
         "gain": {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]},
         "topology": {"random": {"agents": 5, "lambda_band": [0.3, 6.0]}},
         "sampling": {"hbar": 3.0},
-        "certify": {"grid": [20, 20]},
     }), encoding="utf-8")
     loaded = scipy_modules_after(
         """
