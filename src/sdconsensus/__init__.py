@@ -12,7 +12,6 @@ from .certify import (
     certify_gain,
     certify_grid,
     network_contraction,
-    transformed_entries,
 )
 from .graph import (
     GraphBandError,

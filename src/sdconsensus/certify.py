@@ -6,10 +6,11 @@ T^-1 (F(h) - lambda G(h) K) T stays strictly below one over the whole
 certification methods applies; every command and the simulator go through
 it:
 
-* ``certify_double_integrator`` checks the six closed-form gain
-  inequalities plus the sign pattern of the transformed entries at the
-  extremal corner.  When they hold, every (h, lambda) in
-  (0, hbar] x [lambda2, lambdaN] is covered; this is the sound certifier.
+* ``certify_double_integrator`` checks the paper's six strict gain
+  inequalities (``synthesis.check_gain_inequalities``).  When they hold,
+  every (h, lambda) in (0, hbar] x [lambda2, lambdaN] is covered; this is
+  the sound certifier.  They also force the sign pattern its proof needs,
+  so nothing else is checked (see ``certify_double_integrator``).
 
 * ``certify_grid`` samples the region on a finite grid.  A sample at or
   above one refutes; a maximum at most 1 - 1e-6 reports "certified" in the
@@ -36,7 +37,6 @@ from .synthesis import DesignSpec, GainDesign, check_gain_inequalities
 __all__ = [
     "PlantModel",
     "ContractionCertificate",
-    "transformed_entries",
     "certify_double_integrator",
     "certify_grid",
     "certify_gain",
@@ -113,7 +113,7 @@ class PlantModel:
         Returns arrays of shape h.shape + (n, n) and h.shape + (n, m).  The
         double integrator evaluates its closed form ([[1, h], [0, 1]] and
         [[h^2/2], [h]], exact up to rounding) on the whole array; general
-        plants take one stacked matrix exponential for F and one for G.
+        plants take both from one stacked exponential of [[A, B], [0, 0]] h.
         """
         h = np.asarray(h, dtype=float)
         if not (np.isfinite(h) & (h >= 0.0)).all():
@@ -126,7 +126,9 @@ class PlantModel:
             G[..., 0, 0] = 0.5 * h * h
             G[..., 1, 0] = h
             return F, G
-        return numerics.expm(self.A, h), numerics.expm_integral(self.A, self.B, h)
+        n = self.n
+        E = numerics.expm(numerics._augmented(self.A, self.B), h)
+        return E[..., :n, :n], E[..., :n, n:]
 
 
 @dataclass(frozen=True)
@@ -171,25 +173,6 @@ class ContractionCertificate:
             "guard": self.guard,
             "notes": self.notes,
         }
-
-
-def transformed_entries(h: float, lam: float, dsn: GainDesign) -> np.ndarray:
-    """Closed-form transformed closed-loop matrix for the double integrator.
-
-    Equals T^-1 (F(h) - lambda G(h) K) T entrywise; the off-diagonal
-    structure (top-right sign, strictly negative bottom-left) is what the
-    exact certificate reasons about.
-    """
-    if not (h > 0.0 and lam > 0.0):
-        raise ValueError("h and lambda must be positive")
-    mu1, mu2, k1, k2 = dsn.mu1, dsn.mu2, dsn.k1, dsn.k2
-    gamma = (mu1 + mu2 + h) / (mu2 - mu1)
-    return np.array(
-        [
-            [1.0 - h * lam * gamma * k1 / 2.0, 2.0 * h / (mu2 - mu1) - h * lam * gamma * k2 / 2.0],
-            [-h * lam * k1 / 2.0, 1.0 - h * lam * k2 / 2.0],
-        ]
-    )
 
 
 def _gain_pair(plant: PlantModel, K, T) -> tuple[np.ndarray, np.ndarray]:
@@ -243,41 +226,36 @@ def _worst_sample(
     return float(sigmas[i, j]), (float(h_samples[i]), complex(lam_samples[j]))
 
 
-def _sign_conditions(spec: DesignSpec, dsn: GainDesign) -> bool:
-    """Sign pattern of the transformed entries at the extremal parameters.
-
-    Diagonal entries must stay positive at (hbar, lambdaN), where they are
-    smallest; the top-right entry must be negative everywhere, and its worst
-    case is the h -> 0 limit at lambda2, checked here in scaled form.
-    """
-    corner = transformed_entries(spec.hbar, spec.lambdaN, dsn)
-    if not (corner[0, 0] > 0.0 and corner[1, 1] > 0.0 and corner[0, 1] < 0.0):
-        return False
-    # top-right entry divided by h, in the h -> 0 limit at lambda2
-    gamma0 = (dsn.mu1 + dsn.mu2) / (dsn.mu2 - dsn.mu1)
-    s12_rate = 2.0 / (dsn.mu2 - dsn.mu1) - spec.lambda2 * gamma0 * dsn.k2 / 2.0
-    if not s12_rate < 0.0:
-        return False
-    # bottom-left entry is -h lambda k1 / 2, negative whenever k1 > 0
-    return dsn.k1 > 0.0
-
-
 def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionCertificate:
     """Exact-inequality certificate for a double-integrator gain design.
 
-    Certified when the six strict gain inequalities and the extremal sign
-    conditions all hold, which covers every (h, lambda) in
-    (0, hbar] x [lambda2, lambdaN] by monotonicity of the entries.  A fixed
-    64x64 confirmation grid only supplies the reported worst sample (its h
-    rows are evaluated at the two band ends, which carry each row's
-    maximum); the verdict does not depend on it unless the inequalities
-    fail, in which case a sample at or above one downgrades to "refuted"
-    and otherwise the result is "inconclusive".
+    Certified exactly when the six strict gain inequalities hold.  Over
+    (0, hbar] x [lambda2, lambdaN] the transformed closed loop
+    T^-1 (F - lambda G K) T has a positive diagonal and a negative
+    off-diagonal, so its absolute row and column sums are affine in
+    (k1, k2) and the inequalities keep them below one.  The sign pattern
+    itself follows from the inequalities (gamma = (mu1 + mu2 + h) /
+    (mu2 - mu1)):
+
+    * top-left 1 - h lambda gamma k1 / 2 is smallest at (hbar, lambdaN),
+      where it is positive exactly when k1 < a;
+    * bottom-right 1 - h lambda k2 / 2 is positive when
+      k2 < 2 / (hbar lambdaN), which k2 < b implies;
+    * top-right (2 h / (mu2 - mu1)) (1 - k2 lambda (mu1 + mu2 + h) / 4) is
+      negative for every (h, lambda) when k2 > c, its h -> 0 limit at
+      lambda2; that also covers the corner, where the limit is d < c;
+    * bottom-left -h lambda k1 / 2 is negative when k1 > 0.
+
+    A fixed 64x64 confirmation grid only supplies the reported worst
+    sample (its h rows are evaluated at the two band ends, which carry each
+    row's maximum); the verdict does not depend on it unless the
+    inequalities fail, in which case a sample at or above one downgrades to
+    "refuted" and otherwise the result is "inconclusive".
     """
     nh, nl = _CONFIRM_GRID
     ends = np.array([spec.lambda2, spec.lambdaN])
     worst, point = _worst_sample(PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, ends)
-    if check_gain_inequalities(spec, dsn) and _sign_conditions(spec, dsn):
+    if check_gain_inequalities(spec, dsn):
         return ContractionCertificate("certified", worst, point, "exact-inequality", (nh, nl))
     if worst >= 1.0:
         return ContractionCertificate(

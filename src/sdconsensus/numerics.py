@@ -62,25 +62,28 @@ def expm(a, h) -> np.ndarray:
     return scipy.linalg.expm(h[..., None, None] * a)
 
 
-def expm_integral(a, b, h) -> np.ndarray:
-    """(integral of exp(A tau) over [0, h]) B, via the augmented exponential.
-
-    exp of the block matrix [[A, B], [0, 0]] scaled by h has the requested
-    product in its top-right block.  This avoids branching on invertibility
-    of A (the double integrator is singular).  Like ``expm``, ``h`` may be
-    an array; the result has shape h.shape + B.shape.
-    """
+def _augmented(a, b) -> np.ndarray:
+    """The block matrix [[A, B], [0, 0]]: its exponential scaled by h holds
+    exp(A h) in the top-left block and (integral of exp(A tau) over [0, h]) B
+    in the top-right block, whether or not A is invertible."""
     a = _as_square(a, "a")
     b = _as_matrix(b, "b")
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(
-            f"b must have {n} rows to match a, got shape {b.shape}"
-        )
-    m = b.shape[1]
+    n, m = b.shape
+    if n != a.shape[0]:
+        raise ValueError(f"b must have {a.shape[0]} rows to match a, got shape {b.shape}")
     aug = np.zeros((n + m, n + m), dtype=np.result_type(a, b))
     aug[:n, :n] = a
     aug[:n, n:] = b
+    return aug
+
+
+def expm_integral(a, b, h) -> np.ndarray:
+    """(integral of exp(A tau) over [0, h]) B, the top-right block of the
+    augmented exponential.  Like ``expm``, ``h`` may be an array; the result
+    has shape h.shape + B.shape.
+    """
+    aug = _augmented(a, b)
+    n = np.shape(a)[0]
     return expm(aug, h)[..., :n, n:]
 
 
@@ -95,18 +98,28 @@ def max_singular_values(stack) -> np.ndarray:
 
     2x2 stacks use the closed form derived from the Gram matrix invariants
     (trace = squared Frobenius norm, determinant = |det|^2); other shapes go
-    through LAPACK.
+    through LAPACK.  The closed form squares the squared entries, so it
+    overflows once they pass about 1e77; those matrices (finite, with a
+    non-finite closed-form result) go through LAPACK as well.
     """
     arr = np.asarray(stack)
     if arr.ndim < 2:
         raise ValueError("stack must have at least 2 dimensions")
-    if arr.shape[-2:] == (2, 2):
+    if arr.shape[-2:] != (2, 2):
+        return np.linalg.svd(arr, compute_uv=False)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
         f = (np.abs(arr) ** 2).sum(axis=(-2, -1))
         det = arr[..., 0, 0] * arr[..., 1, 1] - arr[..., 0, 1] * arr[..., 1, 0]
         g = np.abs(det) ** 2
         disc = np.sqrt(np.maximum(f * f - 4.0 * g, 0.0))
-        return np.sqrt(0.5 * (f + disc))
-    return np.linalg.svd(arr, compute_uv=False)[..., 0]
+        sigma = np.sqrt(0.5 * (f + disc))
+        bad = ~np.isfinite(sigma)
+        if not bad.any():
+            return sigma
+        bad &= np.isfinite(arr).all(axis=(-2, -1))
+        sigma = np.array(sigma)
+        sigma[bad] = np.linalg.svd(arr[bad], compute_uv=False)[..., 0]
+    return sigma[()]  # a single matrix gives a scalar, as above
 
 
 def gershgorin_sv_bound(a) -> float:

@@ -389,27 +389,30 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     length = max(1, min(period, _BLOCK_ENTRIES // X.size))
     # sorted sets, not np.union1d/np.unique: those import numpy.ma on first use
     bounds = sorted({*range(0, steps, period), *range(0, steps, length)})
-    for start, stop in zip(bounds, [*bounds[1:], steps]):
-        active = topology[:, start]
-        # runs sharing a topology for the whole segment advance as one block;
-        # its first row is the state at `start`, so the metrics cover k = 0 too
-        for g in sorted(set(active.tolist())):
-            idx = np.flatnonzero(active == g)
-            F, G = config.plant.discretize(h[idx, start:stop].T)
-            GK = G @ K
-            seg = np.empty((stop - start + 1, len(idx)) + X.shape[1:])
-            seg[0] = X[idx]
-            for j in range(stop - start):
-                seg[j + 1] = _advance(seg[j], pool[g].weights, degrees[g], F[j], GK[j])
-            if laplacians is not None:
-                other = _advance_kronecker(seg[:-1], laplacians[g], F, GK)
-                gap[idx] = np.maximum(gap[idx], np.abs(seg[1:] - other).max(axis=(0, 2, 3)))
-            flat = seg.reshape((-1,) + X.shape[1:])  # rows: steps, then runs
-            delta[idx, start:stop + 1] = _disagreements(flat).reshape(-1, len(idx)).T
-            nu[idx, start:stop + 1] = _reduced_norms(flat, Tinv).reshape(-1, len(idx)).T
-            if states is not None:
-                states[idx, start:stop + 1] = seg.swapaxes(0, 1)
-            X[idx] = seg[-1]
+    # a forced diverging gain overflows to inf and nan; the nan metrics and
+    # the convergence ratio report that, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip(bounds, [*bounds[1:], steps]):
+            active = topology[:, start]
+            # runs sharing a topology for the whole segment advance as one block;
+            # its first row is the state at `start`, so the metrics cover k = 0 too
+            for g in sorted(set(active.tolist())):
+                idx = np.flatnonzero(active == g)
+                F, G = config.plant.discretize(h[idx, start:stop].T)
+                GK = G @ K
+                seg = np.empty((stop - start + 1, len(idx)) + X.shape[1:])
+                seg[0] = X[idx]
+                for j in range(stop - start):
+                    seg[j + 1] = _advance(seg[j], pool[g].weights, degrees[g], F[j], GK[j])
+                if laplacians is not None:
+                    other = _advance_kronecker(seg[:-1], laplacians[g], F, GK)
+                    gap[idx] = np.maximum(gap[idx], np.abs(seg[1:] - other).max(axis=(0, 2, 3)))
+                flat = seg.reshape((-1,) + X.shape[1:])  # rows: steps, then runs
+                delta[idx, start:stop + 1] = _disagreements(flat).reshape(-1, len(idx)).T
+                nu[idx, start:stop + 1] = _reduced_norms(flat, Tinv).reshape(-1, len(idx)).T
+                if states is not None:
+                    states[idx, start:stop + 1] = seg.swapaxes(0, 1)
+                X[idx] = seg[-1]
     records = [
         TrajectoryRecord(
             r, t[r], h[r], topology[r], delta[r], nu[r],

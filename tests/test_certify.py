@@ -10,7 +10,6 @@ from sdconsensus.certify import (
     certify_double_integrator,
     certify_grid,
     network_contraction,
-    transformed_entries,
 )
 from sdconsensus.graph import (
     WeightedDigraph,
@@ -149,48 +148,6 @@ def test_closed_loop_matrix_double_integrator_formula(di_plant):
 
 
 # ---------------------------------------------------------------------------
-# transformed entries
-
-
-def test_transformed_entries_identity_limit(example1_design):
-    got = transformed_entries(1e-12, 1.0, example1_design)
-    np.testing.assert_allclose(got, np.eye(2), atol=1e-11)
-
-
-def test_transformed_entries_bottom_left_negative(example1_design):
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        h = float(rng.uniform(1e-4, 3.0))
-        lam = float(rng.uniform(0.3, 6.0))
-        assert transformed_entries(h, lam, example1_design)[1, 0] < 0.0
-
-
-def test_transformed_entries_example_point(example1_design):
-    got = transformed_entries(3.0, 6.0, example1_design)
-    oracle = transformed_by_product(3.0, 6.0, example1_design)
-    np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-12)
-
-
-def test_transformed_entries_cross_path_fuzz():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        spec = random_spec(rng)
-        dsn = design(spec)
-        h = float(rng.uniform(1e-3, spec.hbar))
-        lam = float(rng.uniform(spec.lambda2, spec.lambdaN))
-        got = transformed_entries(h, lam, dsn)
-        oracle = transformed_by_product(h, lam, dsn)
-        np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-12)
-
-
-def test_transformed_entries_rejects_nonpositive_args(example1_design):
-    with pytest.raises(ValueError):
-        transformed_entries(0.0, 1.0, example1_design)
-    with pytest.raises(ValueError):
-        transformed_entries(1.0, -1.0, example1_design)
-
-
-# ---------------------------------------------------------------------------
 # exact certificate
 
 
@@ -208,6 +165,45 @@ def test_certify_rejects_k2_above_limit(example1_spec, example1_design):
     bad = make_design(dsn.mu1, dsn.mu2, dsn.k1, lim.b * 1.05)
     cert = certify_double_integrator(example1_spec, bad)
     assert cert.verdict != "certified"
+
+
+def holds_with_slack(spec, mu1, mu2, k1, k2, rel):
+    """The six gain inequalities at all four corners of the box
+    k1 (1 +- rel) x k2 (1 +- rel)."""
+    return all(
+        check_gain_inequalities(spec, make_design(mu1, mu2, k1 * s1, k2 * s2))
+        for s1 in (1.0 - rel, 1.0 + rel)
+        for s2 in (1.0 - rel, 1.0 + rel)
+    )
+
+
+def test_gain_inequalities_imply_the_transformed_sign_pattern():
+    # the exact certificate is the six inequalities alone: they force a
+    # positive diagonal and a negative off-diagonal of T^-1 (F - lambda G K) T
+    # on the whole region, checked with the product oracle at the corner
+    # (hbar, lambdaN), at a small h at lambda2 and in between
+    rng = np.random.default_rng(20261019)
+    held = 0
+    for _ in range(600):
+        spec = random_spec(rng)
+        ratio = spec.lambdaN / spec.lambda2
+        mu1 = spec.hbar * 10.0 ** rng.uniform(-1.0, 0.5)
+        scale = (spec.hbar + max(spec.hbar, 2.0 * mu1)) * ratio
+        mu2 = mu1 + scale * 10.0 ** rng.uniform(-0.1, 0.5)
+        lim = limits(spec, mu1, mu2)
+        k2 = rng.uniform(0.8 * lim.c, 1.1 * lim.b)
+        k1 = k2 - lim.d * rng.uniform(-0.1, 1.1)
+        if not holds_with_slack(spec, mu1, mu2, k1, k2, 1e-6):
+            continue
+        held += 1
+        dsn = make_design(mu1, mu2, k1, k2)
+        h = spec.hbar * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
+        lam = np.linspace(spec.lambda2, spec.lambdaN, 4)
+        H, L = np.meshgrid(h, lam, indexing="ij")
+        S = transformed_by_product(H, L[..., None, None], dsn)
+        assert (S[..., 0, 0] > 0.0).all() and (S[..., 1, 1] > 0.0).all()
+        assert (S[..., 0, 1] < 0.0).all() and (S[..., 1, 0] < 0.0).all()
+    assert held >= 100
 
 
 def test_certify_equal_gains_not_certified(example1_spec, example1_design):
@@ -358,8 +354,7 @@ def test_real_band_ends_match_full_grid():
         band = (spec.lambda2, spec.lambdaN)
         dsn = design(spec)
         worst, point, shape = full_grid_worst(di, dsn.K, dsn.T, spec.hbar, (64, 64), band)
-        holds = check_gain_inequalities(spec, dsn) and certify._sign_conditions(spec, dsn)
-        verdict = "certified" if holds else ("refuted" if worst >= 1.0 else "inconclusive")
+        verdict = "certified" if check_gain_inequalities(spec, dsn) else ("refuted" if worst >= 1.0 else "inconclusive")
         cert = certify_double_integrator(spec, dsn)
         assert_matches_full_grid(cert, worst, point, shape, verdict)
         for K in (dsn.K, dsn.K * rng.uniform(0.3, 4.0)):
@@ -412,7 +407,7 @@ def test_bound_dominance_on_certified_grid(example1_spec, example1_design):
     for _ in range(200):
         h = float(rng.uniform(1e-3, example1_spec.hbar))
         lam = float(rng.uniform(example1_spec.lambda2, example1_spec.lambdaN))
-        S_hat = transformed_entries(h, lam, example1_design)
+        S_hat = transformed_by_product(h, lam, example1_design)
         bound = gershgorin_sv_bound(S_hat)
         sigma = max_singular_value(S_hat)
         assert bound >= sigma * (1.0 - 1e-12)

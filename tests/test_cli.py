@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import shutil
@@ -140,6 +141,21 @@ def test_certify_fixed_mode_balanced_graph(tmp_path, capsys):
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
     rc = cli.main(["certify", "--config", path])
     assert rc == cli.EXIT_OK  # lambda = 2 sits inside the designed band
+
+
+def test_certify_huge_gain_is_refuted_with_a_finite_sigma(tmp_path, capsys):
+    # 1e160 entries overflow the 2x2 closed form; LAPACK's sigma refutes
+    cfg = sim_config_dict()
+    del cfg["design"]
+    cfg["gain"] = {"K": [[1e160, 1e160]]}
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    report = tmp_path / "cert.json"
+    rc = cli.main(["certify", "--config", path, "--report", str(report)])
+    assert rc == cli.EXIT_REFUTED
+    payload = json.loads(report.read_text())
+    assert payload["verdict"] == "refuted"
+    assert math.isfinite(payload["worst_sigma"]) and payload["worst_sigma"] > 1e160
+    assert "nan" not in capsys.readouterr().out
 
 
 def test_certify_fixed_mode_needs_spanning_tree(tmp_path, capsys):
@@ -292,7 +308,8 @@ def test_simulate_assert_convergence_fails_on_a_diverged_batch(tmp_path, capsys)
     del cfg["design"]
     cfg["gain"] = {"K": [[1e200, 1e200]]}
     path = write_yaml(tmp_path / "cfg.yaml", cfg)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out"),
                        "--force", "--assert-convergence", "1e-3"])
     assert rc == cli.EXIT_REFUTED

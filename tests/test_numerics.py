@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,25 @@ def test_max_singular_values_batch_matches_per_matrix():
     got = max_singular_values(wide)
     want = np.array([max_singular_value(m) for m in wide])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+def test_max_singular_values_huge_2x2_entries_match_lapack():
+    # the closed form squares |a|^2, which overflows past about 1e77; such
+    # matrices go through LAPACK and the others keep their closed-form bits
+    rng = np.random.default_rng(23)
+    small = rng.standard_normal((5, 2, 2))
+    for exponent in (80, 120, 160, 200, 250, 300):
+        huge = rng.standard_normal((6, 2, 2)) * 10.0**exponent
+        for stack in (huge, huge + 1j * rng.standard_normal((6, 2, 2)) * 10.0**exponent):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = max_singular_values(np.concatenate([small, stack]))
+                one = max_singular_values(stack[0])
+            want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got[5:], want, rtol=1e-12)
+            assert one == pytest.approx(want[0], rel=1e-12)
+            assert np.array_equal(got[:5], max_singular_values(small))
 
 
 def test_singular_values_orthogonal_invariance():
