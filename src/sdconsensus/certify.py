@@ -98,9 +98,9 @@ class PlantModel:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @classmethod
-    def double_integrator(cls) -> "PlantModel":
-        return cls(_DI_A, _DI_B, DOUBLE_INTEGRATOR)
+    @staticmethod
+    def double_integrator() -> "PlantModel":
+        return _DOUBLE_INTEGRATOR_PLANT
 
     @classmethod
     def general(cls, A, B) -> "PlantModel":
@@ -129,6 +129,10 @@ class PlantModel:
         n = self.n
         E = numerics.expm(numerics._augmented(self.A, self.B), h)
         return E[..., :n, :n], E[..., :n, n:]
+
+
+# built once: frozen with read-only arrays, so every caller can share it
+_DOUBLE_INTEGRATOR_PLANT = PlantModel(_DI_A, _DI_B, DOUBLE_INTEGRATOR)
 
 
 @dataclass(frozen=True)
@@ -214,8 +218,11 @@ def _worst_sample(
     h_samples = hbar * np.arange(1, nh + 1) / nh
     Tinv = np.linalg.inv(T)
     F, G = plant.discretize(h_samples)
-    base = (Tinv @ F @ T)[:, None]
-    coupling = (Tinv @ (G @ K) @ T)[:, None]
+    # sigma(M) = s sigma(M / s) exactly for a power of two s: one that brings
+    # K below 2^512 keeps G K from overflowing, and is 1 for smaller gains
+    s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(K).max()))[1] - 512))
+    base = (Tinv @ (F / s) @ T)[:, None]
+    coupling = (Tinv @ (G @ (K / s)) @ T)[:, None]
     lam = lam_samples[:, None, None]
     sigmas = np.empty((nh, len(lam_samples)))
     rows = max(1, _STACK_CAP // len(lam_samples))
@@ -223,7 +230,7 @@ def _worst_sample(
         chunk = slice(i, i + rows)
         sigmas[chunk] = numerics.max_singular_values(base[chunk] - lam * coupling[chunk])
     i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
-    return float(sigmas[i, j]), (float(h_samples[i]), complex(lam_samples[j]))
+    return float(sigmas[i, j]) * s, (float(h_samples[i]), complex(lam_samples[j]))
 
 
 def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionCertificate:

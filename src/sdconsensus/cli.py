@@ -28,6 +28,7 @@ from . import __version__
 from .certify import ContractionCertificate, PlantModel, certify_gain
 from .graph import GraphBandError, WeightedDigraph, consensus_eigenvalues, has_spanning_tree
 from .sim import (
+    H_MIN_FRACTION,
     SimulationConfig,
     TopologyRecipe,
     UncertifiedGainError,
@@ -195,7 +196,7 @@ def resolve_config(raw: dict) -> dict:
     plant, sampling, topology = resolved["plant"], resolved["sampling"], resolved["topology"]
     if plant["kind"] == "general" and ("A" not in plant or "B" not in plant):
         raise ConfigError("general plant needs A and B matrices")
-    sampling.setdefault("h_min", sampling["hbar"] * 1e-3)
+    sampling.setdefault("h_min", sampling["hbar"] * H_MIN_FRACTION)
     if (resolved["design"] is None) == (resolved["gain"] is None):
         raise ConfigError("config needs exactly one of a design or a gain section")
     if topology is not None and ("graphs" in topology) == ("random" in topology):
@@ -528,12 +529,13 @@ def _axis(name: str, lo: float, hi: float, n: float) -> np.ndarray:
         raise ConfigError(f"{name} needs finite lo and hi, got {lo!r} and {hi!r}")
     if n % 1:
         raise ConfigError(f"{name} needs a whole number of points, got {n!r}")
-    n = int(n)
-    if n < 1 or hi < lo:
-        raise ConfigError(f"{name} needs lo <= hi and at least one point")
+    if not (1 <= n <= 10**6 and lo <= hi):
+        raise ConfigError(
+            f"{name} needs lo <= hi and 1 to 1000000 points, got {lo!r}, {hi!r}, {n!r}"
+        )
     if lo == hi:
         return np.array([lo])
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, int(n))
 
 
 def cmd_sweep(args) -> int:

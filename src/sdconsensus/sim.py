@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_INIT_BOUNDS = ((-10.0, 10.0), (-1.0, 1.0))
+# h_min defaults to hbar * H_MIN_FRACTION, here and in the resolved config
+H_MIN_FRACTION = 1e-3
 # a segment advances in blocks of at most this many state entries (16 MB);
 # a verified block holds about two more block-sized temporaries for its check
 _BLOCK_ENTRIES = 1 << 21
@@ -137,7 +139,7 @@ class SimulationConfig:
         if not (math.isfinite(self.hbar) and self.hbar > 0.0):
             raise ValueError("hbar must be positive and finite")
         if self.h_min is None:
-            self.h_min = self.hbar * 1e-3
+            self.h_min = self.hbar * H_MIN_FRACTION
         if not (0.0 < self.h_min < self.hbar):
             raise ValueError("need 0 < h_min < hbar")
         if (self.design is None) == (self.gain is None):

@@ -6,13 +6,13 @@ Laplacian eigenvalue of the admissible topologies.  A 2x2 similarity
 transform T(mu1, mu2) turns the closed-loop family into matrices whose
 row/column sums stay below one exactly when the transformed gains (k1, k2)
 satisfy six strict inequalities; this module computes the inequality limits,
-decides feasibility, and picks gains.
+decides feasibility, and picks the design (mu1, mu2, k1, k2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,28 +77,21 @@ def transform_matrix(mu1: float, mu2: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GainDesign:
-    """Transform parameters, transformed gains and the resulting feedback row.
-
-    K is the 1x2 feedback applied to neighbor state differences; in the
-    transformed coordinates K @ T equals [k1, k2].
-    """
+    """The design (mu1, mu2, k1, k2).  T = transform_matrix(mu1, mu2) and the
+    feedback row K = [k1, k2] T^-1 derive from it, as read-only arrays."""
 
     mu1: float
     mu2: float
     k1: float
     k2: float
-    T: np.ndarray
-    K: np.ndarray
+    T: np.ndarray = field(init=False, compare=False, repr=False)
+    K: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        K = np.asarray(self.K, dtype=float)
-        if T.shape != (2, 2) or K.shape != (1, 2):
-            raise ValueError("T must be 2x2 and K must be 1x2")
-        if not np.allclose(T, transform_matrix(self.mu1, self.mu2), rtol=0.0, atol=1e-12):
-            raise ValueError("T does not match transform_matrix(mu1, mu2)")
-        if not np.allclose(K @ T, [[self.k1, self.k2]], rtol=1e-12, atol=1e-12):
-            raise ValueError("K @ T must reproduce [k1, k2]")
+        if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
+            raise ValueError("transformed gains k1 and k2 must be finite")
+        T = transform_matrix(self.mu1, self.mu2)
+        K = np.array([[self.k1, self.k2]]) @ np.linalg.inv(T)
         T.setflags(write=False)
         K.setflags(write=False)
         object.__setattr__(self, "T", T)
@@ -164,12 +157,6 @@ def consistency_witness(a: float, b: float, c: float, d: float) -> tuple[float, 
     return k1, k2
 
 
-def _assemble(mu1: float, mu2: float, k1: float, k2: float) -> GainDesign:
-    T = transform_matrix(mu1, mu2)
-    K = np.array([[k1, k2]]) @ np.linalg.inv(T)
-    return GainDesign(mu1, mu2, k1, k2, T, K)
-
-
 def design(spec: DesignSpec) -> GainDesign:
     """Pick transform parameters and gains for a spec.
 
@@ -188,11 +175,11 @@ def design(spec: DesignSpec) -> GainDesign:
     dk = 0.9 * lim.d
     k1 = 0.5 * (min(lim.a, lim.b - dk) + max(0.0, lim.c - dk))
     k2 = k1 + dk
-    dsn = _assemble(mu1, mu2, k1, k2)
+    dsn = GainDesign(mu1, mu2, k1, k2)
     if check_gain_inequalities(spec, dsn):
         return dsn
     k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
-    dsn = _assemble(mu1, mu2, k1, k2)
+    dsn = GainDesign(mu1, mu2, k1, k2)
     if not check_gain_inequalities(spec, dsn):
         raise RuntimeError("gain design failed its own inequality check")
     return dsn

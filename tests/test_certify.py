@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from sdconsensus.graph import (
     reduction_basis,
 )
 from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value, max_singular_values
-from sdconsensus.synthesis import check_gain_inequalities, design, limits
-from test_synthesis import make_design, random_spec
+from sdconsensus.synthesis import GainDesign, check_gain_inequalities, design, limits
+from test_synthesis import random_spec
 
 
 def closed_loop_matrix(plant, K, lam, h):
@@ -76,6 +77,15 @@ def test_plant_double_integrator_constants(di_plant):
     np.testing.assert_array_equal(di_plant.A, [[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_array_equal(di_plant.B, [[0.0], [1.0]])
     assert di_plant.n == 2 and di_plant.m == 1
+
+
+def test_double_integrator_plant_is_built_once():
+    di = PlantModel.double_integrator()
+    assert PlantModel.double_integrator() is di
+    assert di.kind == certify.DOUBLE_INTEGRATOR
+    assert not (di.A.flags.writeable or di.B.flags.writeable)
+    with pytest.raises(ValueError):
+        di.A[0, 1] = 2.0
 
 
 def test_plant_validation():
@@ -162,7 +172,7 @@ def test_certify_example1(example1_spec, example1_design):
 def test_certify_rejects_k2_above_limit(example1_spec, example1_design):
     dsn = example1_design
     lim = limits(example1_spec, dsn.mu1, dsn.mu2)
-    bad = make_design(dsn.mu1, dsn.mu2, dsn.k1, lim.b * 1.05)
+    bad = GainDesign(dsn.mu1, dsn.mu2, dsn.k1, lim.b * 1.05)
     cert = certify_double_integrator(example1_spec, bad)
     assert cert.verdict != "certified"
 
@@ -171,7 +181,7 @@ def holds_with_slack(spec, mu1, mu2, k1, k2, rel):
     """The six gain inequalities at all four corners of the box
     k1 (1 +- rel) x k2 (1 +- rel)."""
     return all(
-        check_gain_inequalities(spec, make_design(mu1, mu2, k1 * s1, k2 * s2))
+        check_gain_inequalities(spec, GainDesign(mu1, mu2, k1 * s1, k2 * s2))
         for s1 in (1.0 - rel, 1.0 + rel)
         for s2 in (1.0 - rel, 1.0 + rel)
     )
@@ -196,7 +206,7 @@ def test_gain_inequalities_imply_the_transformed_sign_pattern():
         if not holds_with_slack(spec, mu1, mu2, k1, k2, 1e-6):
             continue
         held += 1
-        dsn = make_design(mu1, mu2, k1, k2)
+        dsn = GainDesign(mu1, mu2, k1, k2)
         h = spec.hbar * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0])
         lam = np.linspace(spec.lambda2, spec.lambdaN, 4)
         H, L = np.meshgrid(h, lam, indexing="ij")
@@ -208,7 +218,7 @@ def test_gain_inequalities_imply_the_transformed_sign_pattern():
 
 def test_certify_equal_gains_not_certified(example1_spec, example1_design):
     dsn = example1_design
-    bad = make_design(dsn.mu1, dsn.mu2, dsn.k1, dsn.k1)
+    bad = GainDesign(dsn.mu1, dsn.mu2, dsn.k1, dsn.k1)
     cert = certify_double_integrator(example1_spec, bad)
     assert cert.verdict in ("refuted", "inconclusive")
 
@@ -241,6 +251,20 @@ def test_certify_grid_zero_gain_refuted(di_plant, example1_design):
     assert cert.verdict in ("refuted", "inconclusive")
     if cert.verdict == "refuted":
         assert cert.worst_sigma >= 1.0
+
+
+def test_certify_grid_refutes_a_gain_near_the_float_limit(di_plant, example1_design):
+    # unscaled, T^-1 (G K) T overflows and the certificate was a nan
+    T = example1_design.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify_grid(di_plant, [[1e306, 1e306]], T, 3.0, (0.3, 6.0))
+    assert cert.verdict == "refuted"
+    assert cert.worst_point == (3.0, 6.0)
+    # the true maximum, about 2.2e309, is not a float
+    assert cert.worst_sigma == np.inf
+    small = certify_grid(di_plant, [[1e306 / 2**600, 1e306 / 2**600]], T, 3.0, (0.3, 6.0))
+    assert np.log10(small.worst_sigma) + 600 * np.log10(2.0) == pytest.approx(309.34, abs=0.01)
 
 
 def test_certify_grid_example2(di_plant, example2_design):

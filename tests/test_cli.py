@@ -11,6 +11,9 @@ import pytest
 import yaml
 
 from sdconsensus import cli
+from sdconsensus.certify import PlantModel
+from sdconsensus.sim import SimulationConfig, TopologyRecipe
+from sdconsensus.synthesis import DesignSpec, design
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -728,8 +731,36 @@ def test_sweep_rejects_non_finite_axis_without_warnings(capsys, recwarn, axes, m
     assert [str(w.message) for w in recwarn] == []
 
 
+def test_sweep_rejects_a_huge_axis_before_allocating(capsys):
+    axes = ["--hbar-axis", "1", "2", "2", "--ratio-axis", "1", "2", "1e12"]
+    assert cli.main(["sweep", *axes]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: --ratio-axis needs lo <= hi and 1 to 1000000 points, "
+        "got 1.0, 2.0, 1000000000000.0\n"
+    )
+    assert len(cli._axis("--hbar-axis", 1.0, 2.0, 1e6)) == 10**6
+    with pytest.raises(cli.ConfigError, match="^--hbar-axis needs lo <= hi and 1 to 1000000 "):
+        cli._axis("--hbar-axis", 1.0, 2.0, 1e6 + 1)
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
+
+
+def test_resolved_h_min_is_the_simulator_default():
+    hbar = 0.7
+    resolved = cli.resolve_config(sim_config_dict(sampling={"hbar": hbar}))
+    config = SimulationConfig(
+        n_agents=5,
+        plant=PlantModel.double_integrator(),
+        hbar=hbar,
+        steps=1,
+        runs=1,
+        seed=0,
+        topology=TopologyRecipe(0.3, 6.0, pool_size=1),
+        design=design(DesignSpec(hbar, 0.3, 6.0)),
+    )
+    assert resolved["sampling"]["h_min"] == config.h_min == hbar * 1e-3
 
 
 def test_config_round_trip(tmp_path):

@@ -68,6 +68,7 @@ def test_removed_study_api_is_gone(attr):
         (sdconsensus.WeightedDigraph, "in_degrees"),
         (importlib.import_module("sdconsensus.cli"), "serialize_config"),
         (importlib.import_module("sdconsensus.cli"), "write_graph_file"),
+        (importlib.import_module("sdconsensus.synthesis"), "_assemble"),
     ],
 )
 def test_removed_test_only_helpers_are_gone(owner, attr):

@@ -37,12 +37,6 @@ def replay_design(hbar: Fraction, lambda2: Fraction, lambdaN: Fraction):
     return mu1, mu2, k1, k2, K1, K2
 
 
-def make_design(mu1, mu2, k1, k2) -> GainDesign:
-    T = transform_matrix(mu1, mu2)
-    K = np.array([[k1, k2]]) @ np.linalg.inv(T)
-    return GainDesign(mu1, mu2, k1, k2, T, K)
-
-
 def random_spec(rng) -> DesignSpec:
     hbar = float(10.0 ** rng.uniform(-1.0, 2.0))
     lambda2 = float(10.0 ** rng.uniform(-2.0, 1.0))
@@ -247,15 +241,15 @@ def test_design_soundness_fuzz():
 
 def test_check_gain_inequalities_strictness(example1_spec, example1_design):
     dsn = example1_design
-    zero_k1 = make_design(dsn.mu1, dsn.mu2, 0.0, dsn.k2)
+    zero_k1 = GainDesign(dsn.mu1, dsn.mu2, 0.0, dsn.k2)
     assert not check_gain_inequalities(example1_spec, zero_k1)
     lim = limits(example1_spec, dsn.mu1, dsn.mu2)
     k2 = dsn.k1 + lim.d
     while k2 - dsn.k1 < lim.d:  # counter the rounding of the sum
         k2 = np.nextafter(k2, np.inf)
-    gap_at_limit = make_design(dsn.mu1, dsn.mu2, dsn.k1, k2)
+    gap_at_limit = GainDesign(dsn.mu1, dsn.mu2, dsn.k1, k2)
     assert not check_gain_inequalities(example1_spec, gap_at_limit)
-    equal_gains = make_design(dsn.mu1, dsn.mu2, dsn.k1, dsn.k1)
+    equal_gains = GainDesign(dsn.mu1, dsn.mu2, dsn.k1, dsn.k1)
     assert not check_gain_inequalities(example1_spec, equal_gains)
 
 
@@ -268,9 +262,26 @@ def test_transform_matrix_shape_and_determinant():
 
 
 def test_gain_design_validation():
-    T = transform_matrix(1.0, 3.0)
-    with pytest.raises(ValueError):
-        GainDesign(1.0, 3.0, 0.1, 0.2, T, np.array([[0.1, 0.2]]))  # K T != [k1 k2]
-    with pytest.raises(ValueError):
-        GainDesign(1.0, 3.0, 0.1, 0.2, np.eye(2), np.array([[0.1, 0.2]]))
+    # a design is (mu1, mu2, k1, k2); T and K are derived, never passed in
+    with pytest.raises(ValueError, match="k1 and k2 must be finite"):
+        GainDesign(1.0, 3.0, float("nan"), 0.2)
+    with pytest.raises(ValueError, match="k1 and k2 must be finite"):
+        GainDesign(1.0, 3.0, 0.1, float("inf"))
+    with pytest.raises(ValueError, match="0 < mu1 < mu2"):
+        GainDesign(3.0, 1.0, 0.1, 0.2)
+    with pytest.raises(TypeError):
+        GainDesign(1.0, 3.0, 0.1, 0.2, transform_matrix(1.0, 3.0), np.array([[0.1, 0.2]]))
+
+
+def test_gain_design_derives_T_and_K():
+    rng = np.random.default_rng(61)
+    for _ in range(1000):
+        dsn = design(random_spec(rng))
+        np.testing.assert_array_equal(dsn.T, transform_matrix(dsn.mu1, dsn.mu2))
+        np.testing.assert_allclose(dsn.K @ dsn.T, [[dsn.k1, dsn.k2]], rtol=1e-12, atol=1e-12)
+        assert not (dsn.T.flags.writeable or dsn.K.flags.writeable)
+    spec = DesignSpec(3.0, 0.3, 6.0)
+    assert design(spec) == design(spec)
+    assert hash(design(spec)) == hash(design(spec))
+    assert design(spec) != design(DesignSpec(1.0, 5.0, 60.0))
 
