@@ -4,18 +4,21 @@ A gain K with transform T is certified when the largest singular value of
 T^-1 (F(h) - lambda G(h) K) T stays strictly below one over the whole
 (h, lambda) region of interest.  ``certify_gain`` decides which of the two
 certification methods applies; every command and the simulator go through
-it:
+it.  Each method records its worst sampled sigma and whether its own test
+``passed``; one rule turns the two into the verdict: "refuted" when
+worst_sigma >= 1, "certified" when the test passed and worst_sigma < 1,
+"inconclusive" otherwise (a nan sigma included).
 
-* ``certify_double_integrator`` checks the paper's six strict gain
+* ``certify_double_integrator``: the test is the paper's six strict gain
   inequalities (``synthesis.check_gain_inequalities``).  When they hold,
   every (h, lambda) in (0, hbar] x [lambda2, lambdaN] is covered; this is
   the sound certifier.  They also force the sign pattern its proof needs,
   so nothing else is checked (see ``certify_double_integrator``).
 
-* ``certify_grid`` samples the region on a finite grid.  A sample at or
-  above one refutes; a maximum at most 1 - 1e-6 reports "certified" in the
-  sampled sense; anything else is inconclusive.  A finite grid cannot prove
-  the universal statement, hence the explicit inconclusive verdict.
+* ``certify_grid`` samples the region on a finite grid; the test is a
+  sampled maximum at most 1 - 1e-6, which is "certified" in the sampled
+  sense only.  A finite grid cannot prove the universal statement, hence
+  the explicit inconclusive verdict between the guard and one.
 
 For fixed h, sigma_max(M0 - lambda M1) is the norm of an affine function of
 lambda, hence convex in lambda: over a real interval it peaks at one of the
@@ -139,12 +142,15 @@ _DOUBLE_INTEGRATOR_PLANT = PlantModel(_DI_A, _DI_B, DOUBLE_INTEGRATOR)
 class ContractionCertificate:
     """Outcome of a contraction check over an (h, lambda) region.
 
-    ``worst_sigma`` is the largest sampled singular value and
-    ``worst_point`` the (h, lambda) where it occurred.  "certified" implies
-    worst_sigma < 1; "refuted" records a concrete point at or above 1.
+    ``passed`` says whether the method's own test held (the six gain
+    inequalities, or the grid's guard), ``worst_sigma`` is the largest
+    sampled singular value and ``worst_point`` the (h, lambda) where it
+    occurred.  The verdict follows from the two: "refuted" when
+    worst_sigma >= 1, "certified" when the test passed and worst_sigma < 1,
+    and "inconclusive" otherwise (a nan sigma included).
     """
 
-    verdict: str
+    passed: bool
     worst_sigma: float
     worst_point: tuple[float, complex]
     method: str
@@ -152,24 +158,24 @@ class ContractionCertificate:
     guard: float | None = None
     notes: str = ""
 
-    def __post_init__(self):
-        if self.verdict not in ("certified", "refuted", "inconclusive"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "certified" and not self.worst_sigma < 1.0:
-            raise ValueError("certified verdict requires worst_sigma < 1")
-        if self.verdict == "refuted" and not self.worst_sigma >= 1.0:
-            raise ValueError("refuted verdict requires a witness with sigma >= 1")
+    @property
+    def verdict(self) -> str:
+        if self.worst_sigma >= 1.0:
+            return "refuted"
+        return "certified" if self.passed and self.worst_sigma < 1.0 else "inconclusive"
 
     @property
     def margin(self) -> float:
         return 1.0 - self.worst_sigma
 
     def to_dict(self) -> dict:
+        """The report; a sigma or margin that is not finite reads null."""
         lam = complex(self.worst_point[1])
+        finite = math.isfinite(self.worst_sigma)
         return {
             "verdict": self.verdict,
-            "worst_sigma": self.worst_sigma,
-            "margin": self.margin,
+            "worst_sigma": self.worst_sigma if finite else None,
+            "margin": self.margin if finite else None,
             "worst_h": self.worst_point[0],
             "worst_lambda": [lam.real, lam.imag],
             "method": self.method,
@@ -255,24 +261,17 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
 
     A fixed 64x64 confirmation grid only supplies the reported worst
     sample (its h rows are evaluated at the two band ends, which carry each
-    row's maximum); the verdict does not depend on it unless the
-    inequalities fail, in which case a sample at or above one downgrades to
-    "refuted" and otherwise the result is "inconclusive".
+    row's maximum).  The inequalities are the test behind ``passed``: when
+    they hold every sample is below one and the verdict is "certified";
+    when they fail, a sample at or above one refutes, else "inconclusive".
     """
     nh, nl = _CONFIRM_GRID
     ends = np.array([spec.lambda2, spec.lambdaN])
     worst, point = _worst_sample(PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, ends)
-    if check_gain_inequalities(spec, dsn):
-        return ContractionCertificate("certified", worst, point, "exact-inequality", (nh, nl))
-    if worst >= 1.0:
-        return ContractionCertificate(
-            "refuted", worst, point, "exact-inequality", (nh, nl),
-            notes="gain inequalities violated; grid sample at or above one",
-        )
-    return ContractionCertificate(
-        "inconclusive", worst, point, "exact-inequality", (nh, nl),
-        notes="gain inequalities violated; no grid sample reached one",
-    )
+    passed = check_gain_inequalities(spec, dsn)
+    reached = "grid sample at or above one" if worst >= 1.0 else "no grid sample reached one"
+    notes = "" if passed else f"gain inequalities violated; {reached}"
+    return ContractionCertificate(passed, worst, point, "exact-inequality", (nh, nl), notes=notes)
 
 
 def _real_interval(lambdas) -> tuple[float, float] | None:
@@ -327,14 +326,8 @@ def certify_grid(
     if not finite.all():
         raise ValueError(f"lambda values must be finite, got {values[int(np.argmin(finite))]}")
     worst, point = _worst_sample(plant, K, T, hbar, nh, lam_samples)
-    shape = (nh, nl)
-    if worst >= 1.0:
-        verdict = "refuted"
-    elif worst <= 1.0 - _GUARD:
-        verdict = "certified"
-    else:
-        verdict = "inconclusive"
-    return ContractionCertificate(verdict, worst, point, "grid-sample", shape, _GUARD)
+    passed = worst <= 1.0 - _GUARD
+    return ContractionCertificate(passed, worst, point, "grid-sample", (nh, nl), _GUARD)
 
 
 def certify_gain(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class SimulationConfig:
     similarity transform T (the identity when None); it enters the
     certificate and the reduced norm.  ``topology`` is either an explicit
     pool of balanced spanning-tree graphs or a TopologyRecipe.  All
-    randomness derives from ``seed``.
+    randomness derives from ``seed``.  ``band`` is derived: the recipe's
+    band, or the eigenvalue band of the pool, which the certificate covers.
     """
 
     n_agents: int
@@ -120,6 +121,7 @@ class SimulationConfig:
     init_bounds: tuple = DEFAULT_INIT_BOUNDS
     record_states: bool = False
     verify_step_forms: bool = False
+    band: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         # pools first, so a bad pool fails with pool_band's message, as in certify
@@ -127,9 +129,9 @@ class SimulationConfig:
             self.topology = list(self.topology)
             if not all(isinstance(g, WeightedDigraph) for g in self.topology):
                 raise TypeError("topology pool entries must be WeightedDigraph")
-            pool_band(self.topology)
-            if self.topology[0].n != self.n_agents:
-                raise ValueError("pool graph size does not match n_agents")
+        self.band = _topology_band(self.topology)
+        if isinstance(self.topology, list) and self.topology[0].n != self.n_agents:
+            raise ValueError("pool graph size does not match n_agents")
         if self.n_agents < 2:
             raise ValueError("consensus needs at least two agents")
         if self.steps < 1 or self.runs < 1:
@@ -184,8 +186,8 @@ class BatchResult:
     """All run records plus the per-step max-over-runs disagreement.
 
     ``timings`` holds the seconds spent in each phase of ``run``: ``pool``
-    (materializing the topology pool), ``certify`` (the band and its
-    certificate) and ``simulate`` (drawing the streams and stepping).
+    (materializing the topology pool), ``certify`` (the certificate of the
+    config's band) and ``simulate`` (drawing the streams and stepping).
     """
 
     records: list
@@ -360,14 +362,13 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     pool_seed, *run_seeds = master.spawn(config.runs + 1)
     pool = _materialize_pool(config, pool_seed)
     t1 = time.perf_counter()
-    band = _topology_band(config.topology)
     cert = certify_gain(
-        config.plant, config.hbar, band,
+        config.plant, config.hbar, config.band,
         design=config.design, gain=config.gain, transform=config.transform,
     )
     if cert.verdict != "certified" and not force:
         raise UncertifiedGainError(
-            f"gain is not certified for band {band} up to hbar={config.hbar} "
+            f"gain is not certified for band {config.band} up to hbar={config.hbar} "
             f"(verdict: {cert.verdict}); pass force=True to simulate anyway",
             cert,
         )
@@ -423,4 +424,4 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
         for r in range(runs)
     ]
     timings = {"pool": t1 - t0, "certify": t2 - t1, "simulate": time.perf_counter() - t2}
-    return BatchResult(records, delta.max(axis=0), cert, pool, band, timings)
+    return BatchResult(records, delta.max(axis=0), cert, pool, config.band, timings)

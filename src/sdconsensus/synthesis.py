@@ -91,7 +91,12 @@ class GainDesign:
         if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
             raise ValueError("transformed gains k1 and k2 must be finite")
         T = transform_matrix(self.mu1, self.mu2)
-        K = np.array([[self.k1, self.k2]]) @ np.linalg.inv(T)
+        with np.errstate(over="ignore"):
+            K = np.array([[self.k1, self.k2]]) @ np.linalg.inv(T)
+        if not np.isfinite(K).all():
+            raise ValueError(
+                f"K = [k1, k2] T^-1 is not finite for mu1 = {self.mu1!r}, mu2 = {self.mu2!r}"
+            )
         T.setflags(write=False)
         K.setflags(write=False)
         object.__setattr__(self, "T", T)

@@ -223,13 +223,27 @@ def test_certify_equal_gains_not_certified(example1_spec, example1_design):
     assert cert.verdict in ("refuted", "inconclusive")
 
 
-def test_certificate_verdict_consistency():
-    with pytest.raises(ValueError):
-        ContractionCertificate("certified", 1.2, (1.0, 1.0), "grid-sample", (1, 1))
-    with pytest.raises(ValueError):
-        ContractionCertificate("refuted", 0.5, (1.0, 1.0), "grid-sample", (1, 1))
-    with pytest.raises(ValueError):
-        ContractionCertificate("maybe", 0.5, (1.0, 1.0), "grid-sample", (1, 1))
+def test_certificate_verdict_rule():
+    # the verdict follows from the worst sigma and the method's own test
+    rows = [
+        (1.2, True, "refuted"),
+        (1.0, True, "refuted"),
+        (0.5, True, "certified"),
+        (0.5, False, "inconclusive"),
+        (float("nan"), True, "inconclusive"),
+        (float("inf"), False, "refuted"),
+    ]
+    for sigma, passed, verdict in rows:
+        cert = ContractionCertificate(passed, sigma, (1.0, 1.0), "grid-sample", (1, 1))
+        assert cert.verdict == verdict, (sigma, passed)
+        payload = cert.to_dict()
+        assert payload["verdict"] == verdict
+        if np.isfinite(sigma):
+            assert (payload["worst_sigma"], payload["margin"]) == (sigma, 1.0 - sigma)
+        else:
+            assert (payload["worst_sigma"], payload["margin"]) == (None, None)
+    with pytest.raises(AttributeError):
+        cert.verdict = "certified"
 
 
 def test_certificate_round_trip_dict(example1_spec, example1_design):
@@ -265,6 +279,18 @@ def test_certify_grid_refutes_a_gain_near_the_float_limit(di_plant, example1_des
     assert cert.worst_sigma == np.inf
     small = certify_grid(di_plant, [[1e306 / 2**600, 1e306 / 2**600]], T, 3.0, (0.3, 6.0))
     assert np.log10(small.worst_sigma) + 600 * np.log10(2.0) == pytest.approx(309.34, abs=0.01)
+
+
+def test_certify_grid_is_inconclusive_between_the_guard_and_one(di_plant, example1_design):
+    # the sampled verdict depends on the resolution: a finer h axis reaches
+    # closer to the identity at h -> 0, inside the 1e-6 guard
+    dsn = example1_design
+    coarse = certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, 6.0), grid=(20000, 2))
+    fine = certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, 6.0), grid=(50000, 2))
+    assert coarse.verdict == "certified" and coarse.passed
+    assert coarse.margin == pytest.approx(1.24e-6, rel=0.01)
+    assert fine.verdict == "inconclusive" and not fine.passed
+    assert fine.margin == pytest.approx(4.96e-7, rel=0.01)
 
 
 def test_certify_grid_example2(di_plant, example2_design):

@@ -161,6 +161,59 @@ def test_certify_huge_gain_is_refuted_with_a_finite_sigma(tmp_path, capsys):
     assert "nan" not in capsys.readouterr().out
 
 
+def test_certify_report_of_a_sigma_beyond_floats_is_strict_json(tmp_path, capsys):
+    # the worst sigma, about 2.2e309, is not a float: the report says null
+    cfg = sim_config_dict(gain={"K": [[1.0e306, 1.0e306]], "T": RAW_GAIN["T"]})
+    del cfg["design"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    report = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", path, "--report", str(report)]) == cli.EXIT_REFUTED
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: refuted") and "worst sigma inf" in out
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    payload = json.loads(report.read_text(), parse_constant=reject)
+    assert payload["verdict"] == "refuted"
+    assert payload["worst_sigma"] is None and payload["margin"] is None
+
+
+def test_certify_config_without_topology(tmp_path, capsys):
+    # a design brings its own band; a raw gain has none to certify
+    cfg = sim_config_dict()
+    del cfg["topology"]
+    path = write_yaml(tmp_path / "design.yaml", cfg)
+    by_config, inline = tmp_path / "config.json", tmp_path / "inline.json"
+    assert cli.main(["certify", "--config", path, "--report", str(by_config)]) == cli.EXIT_OK
+    rc = cli.main(["certify", "--hbar", "3", "--lambda2", "0.3", "--lambdaN", "6",
+                   "--report", str(inline)])
+    assert rc == cli.EXIT_OK
+    payload = json.loads(by_config.read_text())
+    del payload["config_digest"]
+    assert payload == json.loads(inline.read_text())
+    del cfg["design"]
+    cfg["gain"] = RAW_GAIN
+    path = write_yaml(tmp_path / "raw.yaml", cfg)
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: no eigenvalue band available: give design or topology\n"
+    )
+
+
+def test_certify_fixed_mode_needs_one_graph(tmp_path, capsys):
+    (tmp_path / "a.graph").write_text("2 symmetric\n1 2 1.0\n", encoding="utf-8")
+    cfg = sim_config_dict(topology={"graphs": ["a.graph", "a.graph"]}, certify={"mode": "fixed"})
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: fixed mode needs topology.graphs with exactly one graph\n"
+    )
+
+
 def test_certify_fixed_mode_needs_spanning_tree(tmp_path, capsys):
     graph_file = tmp_path / "empty.graph"
     graph_file.write_text("3\n", encoding="utf-8")
@@ -375,6 +428,17 @@ def test_simulate_full_state_dump(tmp_path):
     lines = (out_dir / "states.csv").read_text().splitlines()
     assert lines[0] == "run,k,agent,x0,x1"
     assert len(lines) == 1 + 2 * 6 * 5  # runs * (steps + 1) * agents
+
+
+def test_simulate_needs_a_topology(tmp_path, capsys):
+    cfg = sim_config_dict()
+    del cfg["topology"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    capsys.readouterr()
+    rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: topology section is required\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_bad_config_exits_usage(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -361,6 +362,24 @@ def test_run_explicit_pool_and_states(example1_design):
         assert rec.delta[0] == disagreement(rec.states[0])
 
 
+def test_config_derives_the_band_once(monkeypatch, example1_design):
+    calls = []
+    pool_band = sim.pool_band
+    monkeypatch.setattr(sim, "pool_band", lambda pool: calls.append(1) or pool_band(pool))
+    pool = [pair_graph(0.5), pair_graph(1.5)]
+    cfg = SimulationConfig(
+        n_agents=2, plant=PlantModel.double_integrator(), hbar=3.0, steps=5, runs=1,
+        seed=3, topology=pool, design=example1_design,
+    )
+    assert cfg.band == (1.0, 3.0) and len(calls) == 1
+    assert run(cfg).band == (1.0, 3.0) and len(calls) == 1
+    narrower = dataclasses.replace(cfg, topology=pool[1:], runs=2)
+    assert narrower.band == (3.0, 3.0) and len(calls) == 2
+    assert small_config(design=example1_design).band == (0.3, 6.0)
+    with pytest.raises(TypeError):
+        small_config(design=example1_design, band=(0.3, 6.0))
+
+
 def test_run_verify_step_forms(example1_design):
     cfg = small_config(design=example1_design, verify_step_forms=True, steps=40)
     result = run(cfg)
@@ -565,6 +584,11 @@ def test_config_rejects_design_and_gain(example1_design):
         small_config(design=example1_design, gain=np.array([[0.1, 0.2]]))
     with pytest.raises(ValueError):
         small_config()  # neither
+
+
+def test_config_rejects_a_transform_next_to_a_design(example1_design):
+    with pytest.raises(ValueError, match="transform goes with a raw gain"):
+        small_config(design=example1_design, transform=example1_design.T)
 
 
 def test_config_rejects_unbalanced_pool(example1_design):

@@ -273,6 +273,14 @@ def test_gain_design_validation():
         GainDesign(1.0, 3.0, 0.1, 0.2, transform_matrix(1.0, 3.0), np.array([[0.1, 0.2]]))
 
 
+def test_gain_design_rejects_a_non_finite_K():
+    # det T = 2 (mu2 - mu1): a subnormal difference passes 0 < mu1 < mu2
+    # but inv(T) overflows, and so can [k1, k2] inv(T) for huge gains
+    for args in [(5e-324, 1e-323, 0.1, 0.2), (1.0, 1.0 + 2**-52, 1e300, 1e300)]:
+        with pytest.raises(ValueError, match=f"mu1 = {args[0]!r}, mu2 = {args[1]!r}"):
+            GainDesign(*args)
+
+
 def test_gain_design_derives_T_and_K():
     rng = np.random.default_rng(61)
     for _ in range(1000):
