@@ -185,17 +185,24 @@ class ContractionCertificate:
         }
 
 
-def _gain_pair(plant: PlantModel, K, T) -> tuple[np.ndarray, np.ndarray]:
-    """A feedback K and its transform T (the identity when None) as float
-    arrays, checked against the plant: the one rule for a gain under T."""
-    K = np.asarray(K, dtype=float)
+def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
+    """The (K, T) a request uses, checked against the plant: the one rule for
+    a gain.  Exactly one of a ``design`` (its own K and T) or a raw ``gain``
+    K, whose ``transform`` T is the identity when None."""
+    if (design is None) == (gain is None):
+        raise ValueError("exactly one of design or gain must be set")
+    if design is not None:
+        if transform is not None:
+            raise ValueError("transform goes with a raw gain; a design carries its own")
+        gain, transform = design.K, design.T
+    K = np.asarray(gain, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
     if not np.isfinite(K).all():
         raise ValueError("K must have finite entries")
-    if T is None:
+    if transform is None:
         return K, np.eye(plant.n)
-    T = np.asarray(T, dtype=float)
+    T = np.asarray(transform, dtype=float)
     if T.shape != (plant.n, plant.n):
         raise ValueError("T must be square with the plant dimension")
     if not np.isfinite(T).all():
@@ -305,7 +312,7 @@ def certify_grid(
     where the map is the identity by construction; the smallest sample is
     hbar / grid[0].
     """
-    K, T = _gain_pair(plant, K, T)
+    K, T = _gain_pair(plant, gain=K, transform=T)
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise ValueError("hbar must be positive and finite")
     nh, nl = grid
@@ -341,22 +348,20 @@ def certify_gain(
 ) -> ContractionCertificate:
     """The certificate that decides whether a gain may be used.
 
-    Give either a gain ``design`` or a raw feedback ``gain`` K with its
-    ``transform`` T (the identity when None).  A double-integrator design
-    over a real interval ``lambdas`` = (lo, hi) gets the exact certificate,
-    which covers every (h, lambda) in (0, hbar] x [lo, hi].  Everything
-    else (raw gains, general plants, the explicit eigenvalues of a fixed
-    digraph) gets the 200x200 grid certificate of K under T.  A gain, its
-    plant, hbar and lambda set therefore have one certificate, whoever asks.
+    The gain is exactly one of a ``design``, which carries its own T, or a
+    raw ``gain`` K with an optional ``transform`` T (the identity when None):
+    ``_gain_pair``, the rule ``SimulationConfig`` uses too.  A double-
+    integrator design over a real band given as a tuple (lo, hi) gets the
+    exact certificate, which covers every (h, lambda) in (0, hbar] x [lo, hi].
+    Everything else gets the 200x200 grid certificate of K under T; a list
+    [lo, hi] is two explicit eigenvalues, not a band.  A gain, its plant, hbar
+    and lambda set therefore have one certificate, whoever asks.
     """
-    if (design is None) == (gain is None):
-        raise ValueError("give exactly one of design or gain")
-    if design is not None:
-        interval = _real_interval(lambdas)
-        if plant.kind == DOUBLE_INTEGRATOR and interval is not None:
-            return certify_double_integrator(DesignSpec(hbar, *interval), design)
-        gain, transform = design.K, design.T
-    return certify_grid(plant, gain, transform, hbar, lambdas)
+    K, T = _gain_pair(plant, design=design, gain=gain, transform=transform)
+    interval = _real_interval(lambdas)
+    if design is not None and plant.kind == DOUBLE_INTEGRATOR and interval is not None:
+        return certify_double_integrator(DesignSpec(hbar, *interval), design)
+    return certify_grid(plant, K, T, hbar, lambdas)
 
 
 def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float:
@@ -367,7 +372,7 @@ def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float
     eigenvalues lambda_i of the per-mode value, which is what the grid
     certifiers sample.
     """
-    K, T = _gain_pair(plant, K, T)
+    K, T = _gain_pair(plant, gain=K, transform=T)
     lbar = np.asarray(reduced_lap, dtype=float)
     if lbar.ndim != 2 or lbar.shape[0] != lbar.shape[1]:
         raise ValueError("reduced Laplacian must be square")

@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .certify import ContractionCertificate, PlantModel, certify_gain
-from .graph import GraphBandError, WeightedDigraph, consensus_eigenvalues, has_spanning_tree
+from .graph import WeightedDigraph, consensus_eigenvalues, has_spanning_tree
 from .sim import (
     H_MIN_FRACTION,
     SimulationConfig,
@@ -64,7 +64,12 @@ def _fmt(x) -> str:
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        raw = yaml.safe_load(f)
+        try:
+            raw = yaml.safe_load(f)
+        except RecursionError:
+            # yaml composes nested nodes by recursion: deep nesting is bad input
+            # here, while a RecursionError anywhere else is a bug
+            raise ConfigError("config file nests too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping")
     return raw
@@ -617,8 +622,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # unusable input in any command: exit 2 with a one-line message, no traceback
-# (ConfigError and UnsupportedGraphError are ValueErrors)
-_USAGE_ERRORS = (ValueError, TypeError, OSError, yaml.YAMLError, GraphBandError)
+# (ConfigError, UnsupportedGraphError and GraphBandError are ValueErrors); a
+# MemoryError is a config asking for more memory than the machine has
+_USAGE_ERRORS = (ValueError, TypeError, OSError, MemoryError, yaml.YAMLError)
 
 
 def main(argv=None) -> int:

@@ -37,8 +37,9 @@ class UnsupportedGraphError(ValueError):
     """Raised when an operation needs a balanced graph but got a general one."""
 
 
-class GraphBandError(RuntimeError):
-    """Raised when no sampled topology can be scaled into the requested band."""
+class GraphBandError(ValueError):
+    """Raised when no sampled topology can be scaled into the requested band:
+    the band is too narrow for the graphs, which is bad input."""
 
     def __init__(self, message: str, best_ratio: float):
         super().__init__(message)

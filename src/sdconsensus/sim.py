@@ -93,17 +93,19 @@ class TopologyRecipe:
             raise ValueError("edge_prob must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     """Complete description of one reproducible batch experiment.
 
-    Exactly one of ``design`` (a synthesized gain bundle) or ``gain`` (a raw
-    feedback matrix) must be given.  ``transform`` is the raw gain's
-    similarity transform T (the identity when None); it enters the
-    certificate and the reduced norm.  ``topology`` is either an explicit
-    pool of balanced spanning-tree graphs or a TopologyRecipe.  All
-    randomness derives from ``seed``.  ``band`` is derived: the recipe's
-    band, or the eigenvalue band of the pool, which the certificate covers.
+    The gain is exactly one of ``design`` or a raw ``gain`` with an optional
+    ``transform`` (the identity when None); ``K`` and ``T`` are derived from
+    it by the rule of ``certify_gain``, and T enters the certificate and the
+    reduced norm.  ``topology`` is an explicit pool of balanced spanning-tree
+    graphs or a TopologyRecipe.  All randomness derives from ``seed``.
+    ``switch_period`` defaults to 50 steps (a config file without one never
+    switches).  ``band`` is derived too: the recipe's band, or the eigenvalue
+    band of the pool, which the certificate covers.  Frozen, since a reassigned
+    field would leave them stale (``dataclasses.replace`` derives them afresh).
     """
 
     n_agents: int
@@ -122,14 +124,16 @@ class SimulationConfig:
     record_states: bool = False
     verify_step_forms: bool = False
     band: tuple[float, float] = field(init=False)
+    K: np.ndarray = field(init=False)
+    T: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # pools first, so a bad pool fails with pool_band's message, as in certify
         if not isinstance(self.topology, TopologyRecipe):
-            self.topology = list(self.topology)
+            object.__setattr__(self, "topology", list(self.topology))
             if not all(isinstance(g, WeightedDigraph) for g in self.topology):
                 raise TypeError("topology pool entries must be WeightedDigraph")
-        self.band = _topology_band(self.topology)
+        object.__setattr__(self, "band", _topology_band(self.topology))
         if isinstance(self.topology, list) and self.topology[0].n != self.n_agents:
             raise ValueError("pool graph size does not match n_agents")
         if self.n_agents < 2:
@@ -141,17 +145,12 @@ class SimulationConfig:
         if not (math.isfinite(self.hbar) and self.hbar > 0.0):
             raise ValueError("hbar must be positive and finite")
         if self.h_min is None:
-            self.h_min = self.hbar * H_MIN_FRACTION
+            object.__setattr__(self, "h_min", self.hbar * H_MIN_FRACTION)
         if not (0.0 < self.h_min < self.hbar):
             raise ValueError("need 0 < h_min < hbar")
-        if (self.design is None) == (self.gain is None):
-            raise ValueError("exactly one of design or gain must be set")
-        if self.gain is not None:
-            self.gain, self.transform = _gain_pair(self.plant, self.gain, self.transform)
-        elif self.transform is not None:
-            raise ValueError("transform goes with a raw gain; a design carries its own")
-        else:
-            _gain_pair(self.plant, self.design.K, self.design.T)
+        K, T = _gain_pair(self.plant, design=self.design, gain=self.gain, transform=self.transform)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "T", T)
         if self.switch_period is not None and self.switch_period < 1:
             raise ValueError("switch_period must be positive (or None to never switch)")
         if len(self.init_bounds) != self.plant.n:
@@ -242,7 +241,7 @@ def _one_run(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape != (g.n, plant.n):
         raise ValueError(f"state must be {g.n}x{plant.n}, got {X.shape}")
-    K, _ = _gain_pair(plant, K, None)
+    K, _ = _gain_pair(plant, gain=K)
     if not h > 0.0:
         raise ValueError("h must be positive")
     F, G = plant.discretize(h)
@@ -373,11 +372,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             cert,
         )
     t2 = time.perf_counter()
-    if config.design is not None:
-        K, T = config.design.K, config.design.T
-    else:
-        K, T = config.gain, config.transform
-    Tinv = np.linalg.inv(T)
+    Tinv = np.linalg.inv(config.T)
     X, h, topology = _draw_streams(config, run_seeds, len(pool))
     runs, steps = h.shape
     t = np.zeros((runs, steps + 1))
@@ -402,7 +397,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             for g in sorted(set(active.tolist())):
                 idx = np.flatnonzero(active == g)
                 F, G = config.plant.discretize(h[idx, start:stop].T)
-                GK = G @ K
+                GK = G @ config.K
                 seg = np.empty((stop - start + 1, len(idx)) + X.shape[1:])
                 seg[0] = X[idx]
                 for j in range(stop - start):

@@ -9,6 +9,7 @@ from sdconsensus.certify import (
     ContractionCertificate,
     PlantModel,
     certify_double_integrator,
+    certify_gain,
     certify_grid,
     network_contraction,
 )
@@ -19,7 +20,7 @@ from sdconsensus.graph import (
     reduction_basis,
 )
 from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value, max_singular_values
-from sdconsensus.synthesis import GainDesign, check_gain_inequalities, design, limits
+from sdconsensus.synthesis import DesignSpec, GainDesign, check_gain_inequalities, design, limits
 from test_synthesis import random_spec
 
 
@@ -95,6 +96,10 @@ def test_plant_validation():
         PlantModel.general(np.eye(2), np.zeros((2, 1)))  # rank-deficient B
     with pytest.raises(ValueError):
         PlantModel.general(np.zeros((2, 3)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="^B must have as many rows as A$"):
+        PlantModel.general(np.eye(2), [[0.0], [1.0], [0.0]])
+    with pytest.raises(ValueError, match="^unknown plant kind 'triple-integrator'$"):
+        PlantModel(np.eye(2), [[0.0], [1.0]], "triple-integrator")
     # non-finite entries are named as such, not as a rank or expm failure
     for A, B, name in (([[np.nan, 1.0], [0.0, 0.0]], [[0.0], [1.0]], "A"),
                        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [np.inf]], "B")):
@@ -379,6 +384,10 @@ def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
         certify_grid(di_plant, dsn.K, dsn.T, -1.0, (0.3, 6.0))
     with pytest.raises(ValueError):
         certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, 6.0), grid=(10, 1))
+    with pytest.raises(ValueError, match="^T must be square with the plant dimension$"):
+        certify_grid(di_plant, dsn.K, np.eye(3), 3.0, (0.3, 6.0))
+    with pytest.raises(ValueError, match="^grid needs at least one h sample$"):
+        certify_grid(di_plant, dsn.K, dsn.T, 3.0, (0.3, 6.0), grid=(0, 200))
     with pytest.raises(ValueError, match="lambda values must be finite, got nan"):
         certify_grid(di_plant, dsn.K, dsn.T, 3.0, (float("nan"), 6.0))
     with pytest.raises(ValueError, match="lambda values must be finite, got inf"):
@@ -391,6 +400,35 @@ def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
             certify_grid(di_plant, [[bad, 0.1]], dsn.T, 3.0, (0.3, 6.0))
         with pytest.raises(ValueError, match="^T must have finite entries$"):
             certify_grid(di_plant, dsn.K, [[118.0, bad], [0.0, 2.0]], 3.0, (0.3, 6.0))
+
+
+def test_certify_gain_takes_one_gain_and_a_transform_only_with_a_raw_gain(
+    di_plant, example1_design
+):
+    dsn, band = example1_design, (0.3, 6.0)
+    for kwargs in ({"design": dsn, "gain": dsn.K}, {}):
+        with pytest.raises(ValueError, match="^exactly one of design or gain must be set$"):
+            certify_gain(di_plant, 3.0, band, **kwargs)
+    # a design carries its own T: one next to it is an error, not ignored
+    with pytest.raises(ValueError, match="^transform goes with a raw gain; a design carries"):
+        certify_gain(di_plant, 3.0, band, design=dsn, transform=7.0 * np.eye(2))
+
+
+def test_certify_gain_picks_the_certificate_by_gain_and_band(di_plant, example1_design):
+    dsn, band = example1_design, (0.3, 6.0)
+    exact = certify_gain(di_plant, 3.0, band, design=dsn)
+    assert exact == certify_double_integrator(DesignSpec(3.0, *band), dsn)
+    # the design's (K, T) as a raw gain, and a band given as a list (two
+    # explicit eigenvalues), both get the grid certificate of K under T
+    raw = certify_gain(di_plant, 3.0, band, gain=dsn.K, transform=dsn.T)
+    assert raw == certify_grid(di_plant, dsn.K, dsn.T, 3.0, band)
+    assert raw.grid_shape == (200, 200)
+    listed = certify_gain(di_plant, 3.0, list(band), design=dsn)
+    assert listed == certify_grid(di_plant, dsn.K, dsn.T, 3.0, list(band))
+    assert (listed.method, listed.grid_shape) == ("grid-sample", (200, 2))
+    # a raw gain without a transform is certified under the identity
+    bare = certify_gain(di_plant, 3.0, band, gain=dsn.K)
+    assert bare == certify_grid(di_plant, dsn.K, np.eye(2), 3.0, band)
 
 
 def test_real_band_ends_match_full_grid():

@@ -470,6 +470,11 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     unknown_mode = sim_config_dict(certify={"mode": "exact"})
     graphs_text = sim_config_dict(topology={"graphs": "g.graph"})
     graphs_number = sim_config_dict(topology={"graphs": [3]})
+    # the shape of the file and the sections that need each other
+    not_mapping = [sim_config_dict()]
+    general_without_matrices = sim_config_dict(plant={"kind": "general", "A": [[0.0]]})
+    both_topologies = sim_config_dict(topology={"graphs": ["g.graph"], "random": {
+        "agents": 5, "lambda_band": [0.3, 6.0]}})
     for name, cfg, field in (("unknown", unknown, ""), ("one_agent", one_agent, ""),
                              ("no_graph_fits", no_graph_fits, ""),
                              ("misspelled", misspelled, ""),
@@ -488,7 +493,12 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                              ("list_kind", list_kind, "plant.kind"),
                              ("unknown_mode", unknown_mode, "certify.mode"),
                              ("graphs_text", graphs_text, "topology.graphs"),
-                             ("graphs_number", graphs_number, "topology.graphs")):
+                             ("graphs_number", graphs_number, "topology.graphs"),
+                             ("not_mapping", not_mapping, "config file must contain a mapping"),
+                             ("general_without_matrices", general_without_matrices,
+                              "general plant needs A and B matrices"),
+                             ("both_topologies", both_topologies,
+                              "topology needs exactly one of graphs or random")):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
@@ -512,6 +522,31 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert err == f"error: unknown config keys: ['{field}']\n", (name, gain, command)
             assert not report.exists() and not out_dir.exists(), (name, gain)
+
+
+def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
+    # each array below is larger than any x86-64 user address space (64 PiB
+    # even with 5-level paging), so numpy fails at once without touching memory
+    long_schedule = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
+    long_schedule["schedule"]["steps"] = 1.0e15  # 100 runs x 1e15 intervals: 711 PiB
+    (tmp_path / "huge.graph").write_text("300000000 symmetric\n", encoding="utf-8")  # 639 PiB
+    huge_graph = write_yaml(tmp_path / "huge.yaml",
+                            sim_config_dict(topology={"graphs": ["huge.graph"]}))
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("[" * 2000 + "]" * 2000 + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    for command, path, message in (
+        ("simulate", write_yaml(tmp_path / "long.yaml", long_schedule), "Unable to allocate"),
+        ("certify", huge_graph, "Unable to allocate"),
+        ("simulate", huge_graph, "Unable to allocate"),
+        # PyYAML takes about a second to reach its recursion limit: one command only
+        ("certify", str(deep), "config file nests too deeply"),
+    ):
+        extra = ["--out", str(out_dir)] if command == "simulate" else []
+        assert cli.main([command, "--config", path, *extra]) == cli.EXIT_USAGE, (command, path)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (command, err)
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

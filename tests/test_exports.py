@@ -1,6 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,16 @@ def test_every_export_has_a_user():
     exported = {attr for name in MODULES for attr in module_exports(name)[1]}
     assert KEEP_UNUSED <= exported
     assert sorted(exported - used - KEEP_UNUSED) == []
+
+
+def test_version_has_one_value_and_the_module_entry_point_prints_it():
+    # a regex, not tomllib: the package supports Python 3.10
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == sdconsensus.__version__
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdconsensus.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{sdconsensus.__version__}\n", "")

@@ -51,6 +51,8 @@ def test_graph_validation():
         WeightedDigraph(np.array([[0.0, -1.0], [0.0, 0.0]]))  # negative
     with pytest.raises(ValueError):
         WeightedDigraph(np.array([[0.0, np.inf], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="^graph needs at least one node$"):
+        WeightedDigraph(np.zeros((0, 0)))
 
 
 def test_graph_is_immutable():
@@ -153,6 +155,8 @@ def test_spectrum_disconnected_has_zero_lambda2():
 def test_spectrum_rejects_unbalanced():
     with pytest.raises(UnsupportedGraphError):
         spectrum(WeightedDigraph.from_edges(2, [(0, 1, 1.0)]))
+    with pytest.raises(ValueError, match="^spectrum needs at least two nodes$"):
+        spectrum(WeightedDigraph(np.zeros((1, 1))))
 
 
 def test_spectrum_connectivity_equivalence():
@@ -237,6 +241,8 @@ def test_reduced_laplacian_eigenvalue_multiset():
 def test_reduced_laplacian_rejects_unbalanced():
     with pytest.raises(UnsupportedGraphError):
         reduced_laplacian(directed_cycle(3), reduction_basis(3))
+    with pytest.raises(ValueError, match="^basis is for 3 nodes, graph has 2$"):
+        reduced_laplacian(pair_graph(), reduction_basis(3))
 
 
 def test_consensus_eigenvalues_balanced_matches_spectrum():
@@ -289,6 +295,8 @@ def test_random_balanced_graph_infeasible_band():
     # 50-node samples never reach it, so the retry budget must trip
     with pytest.raises(GraphBandError) as info:
         random_balanced_graph(50, 1.0, 1.0001, rng_seed=4)
+    # a band too narrow for the sampled graphs is bad input
+    assert isinstance(info.value, ValueError)
     assert info.value.best_ratio > 1.0001
     assert "best spectral ratio" in str(info.value)
 
@@ -298,3 +306,5 @@ def test_random_balanced_graph_rejects_bad_band():
         random_balanced_graph(5, 2.0, 1.0, rng_seed=0)
     with pytest.raises(ValueError):
         random_balanced_graph(5, 0.0, 1.0, rng_seed=0)
+    with pytest.raises(ValueError, match="^need at least two nodes$"):
+        random_balanced_graph(1, 0.3, 6.0, rng_seed=0)

@@ -252,6 +252,19 @@ def test_gershgorin_rejects_non_square():
         gershgorin_sv_bound(np.zeros((2, 3)))
 
 
+def test_matrix_inputs_are_checked_and_cast():
+    with pytest.raises(ValueError, match=r"^a must be a 2-d matrix, got shape \(3,\)$"):
+        max_singular_value(np.zeros(3))
+    with pytest.raises(ValueError, match="^stack must have at least 2 dimensions$"):
+        max_singular_values(np.zeros(3))
+    # an integer matrix is cast to float, so it gives the float matrix's values
+    ints = np.array([[0, 1], [0, 0]])
+    assert max_singular_value([[3, 0], [0, 4]]) == 4.0
+    got = expm_integral(ints, np.array([[0], [1]]), 2.0)
+    assert got.dtype == float
+    np.testing.assert_array_equal(got, expm_integral(ints * 1.0, [[0.0], [1.0]], 2.0))
+
+
 def test_block_gershgorin_grid_of_identities():
     eye = np.eye(3)
     assert block_gershgorin_sv_bound([[eye, eye], [eye, eye]]) == pytest.approx(2.0, abs=1e-14)

@@ -230,6 +230,11 @@ def test_reduced_norm_zero_at_agreement(example1_design):
     assert reduced_norm(x, basis, example1_design.T) < 1e-12
 
 
+def test_reduced_norm_rejects_a_state_of_the_wrong_size(example1_design):
+    with pytest.raises(ValueError, match=r"^state must have 4 rows, got \(3, 2\)$"):
+        reduced_norm(np.zeros((3, 2)), reduction_basis(4), example1_design.T)
+
+
 def test_reduced_norm_homogeneous(example1_design):
     rng = np.random.default_rng(9)
     basis = reduction_basis(5)
@@ -539,7 +544,7 @@ def test_run_matches_step_by_step_reference(case, example1_design):
     if cfg.design is not None:
         K, T = cfg.design.K, cfg.design.T
     else:
-        K, T = cfg.gain, cfg.transform
+        K, T = cfg.K, cfg.T
     refs = _reference_run(cfg, result.pool, K, T)
     assert len(result.records) == len(refs) == cfg.runs
     for rec, (t, h, topo, delta, nu, states) in zip(result.records, refs):
@@ -591,6 +596,17 @@ def test_config_rejects_a_transform_next_to_a_design(example1_design):
         small_config(design=example1_design, transform=example1_design.T)
 
 
+def test_config_derives_its_gain_pair_and_is_frozen(example1_design):
+    cfg = small_config(gain=example1_design.K)
+    assert cfg.transform is None
+    np.testing.assert_array_equal(cfg.T, np.eye(2))
+    # an assignment would leave K, T and band stale; replace derives them again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.gain = np.zeros((1, 2))
+    again = dataclasses.replace(cfg, transform=example1_design.T)
+    np.testing.assert_array_equal(again.T, example1_design.T)
+
+
 def test_config_rejects_unbalanced_pool(example1_design):
     bad = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
@@ -621,14 +637,27 @@ def test_config_rejects_disconnected_pool(example1_design):
         )
 
 
+def test_config_rejects_bad_pool_entries(example1_design):
+    with pytest.raises(TypeError, match="^topology pool entries must be WeightedDigraph$"):
+        small_config(design=example1_design, topology=[np.zeros((5, 5))])
+    with pytest.raises(ValueError, match="^pool graph size does not match n_agents$"):
+        small_config(design=example1_design, topology=[complete_graph(4)])
+
+
 def test_config_rejects_bad_h_min(example1_design):
     with pytest.raises(ValueError):
         small_config(design=example1_design, h_min=3.5)
+    for hbar in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+            small_config(design=example1_design, hbar=hbar)
 
 
 def test_config_rejects_bad_init_bounds(example1_design):
     with pytest.raises(ValueError):
         small_config(design=example1_design, init_bounds=((0.0, 1.0),))
+    for bad in ((float("nan"), 1.0), (0.0, float("inf")), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="^init bounds must be finite with lo <= hi$"):
+            small_config(design=example1_design, init_bounds=((0.0, 1.0), bad))
 
 
 def test_config_rejects_gain_shape():

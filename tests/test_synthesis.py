@@ -261,6 +261,12 @@ def test_transform_matrix_shape_and_determinant():
         transform_matrix(2.0, 2.0)
 
 
+def test_design_spec_rejects_a_non_finite_band():
+    for band in [(float("nan"), 6.0), (0.3, float("inf"))]:
+        with pytest.raises(ValueError, match="^eigenvalue band must be finite$"):
+            DesignSpec(3.0, *band)
+
+
 def test_gain_design_validation():
     # a design is (mu1, mu2, k1, k2); T and K are derived, never passed in
     with pytest.raises(ValueError, match="k1 and k2 must be finite"):
