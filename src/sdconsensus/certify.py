@@ -188,10 +188,16 @@ class ContractionCertificate:
 def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
     """The (K, T) a request uses, checked against the plant: the one rule for
     a gain.  Exactly one of a ``design`` (its own K and T) or a raw ``gain``
-    K, whose ``transform`` T is the identity when None."""
+    K, whose ``transform`` T is the identity when None.  A design serves
+    the double-integrator plant only; this is the one place that says so."""
     if (design is None) == (gain is None):
         raise ValueError("exactly one of design or gain must be set")
     if design is not None:
+        if plant.kind != DOUBLE_INTEGRATOR:
+            raise ValueError(
+                "design synthesis only covers the double-integrator plant; "
+                "give an explicit gain section for general dynamics"
+            )
         if transform is not None:
             raise ValueError("transform goes with a raw gain; a design carries its own")
         gain, transform = design.K, design.T
@@ -350,8 +356,9 @@ def certify_gain(
 
     The gain is exactly one of a ``design``, which carries its own T, or a
     raw ``gain`` K with an optional ``transform`` T (the identity when None):
-    ``_gain_pair``, the rule ``SimulationConfig`` uses too.  A double-
-    integrator design over a real band given as a tuple (lo, hi) gets the
+    ``_gain_pair``, the rule ``SimulationConfig`` uses too.  A design is a
+    double-integrator design, and a ValueError refuses it for any other
+    plant.  A design over a real band given as a tuple (lo, hi) gets the
     exact certificate, which covers every (h, lambda) in (0, hbar] x [lo, hi].
     Everything else gets the 200x200 grid certificate of K under T; a list
     [lo, hi] is two explicit eigenvalues, not a band.  A gain, its plant, hbar
@@ -359,7 +366,7 @@ def certify_gain(
     """
     K, T = _gain_pair(plant, design=design, gain=gain, transform=transform)
     interval = _real_interval(lambdas)
-    if design is not None and plant.kind == DOUBLE_INTEGRATOR and interval is not None:
+    if design is not None and interval is not None:
         return certify_double_integrator(DesignSpec(hbar, *interval), design)
     return certify_grid(plant, K, T, hbar, lambdas)
 

@@ -25,9 +25,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .certify import ContractionCertificate, PlantModel, certify_gain
+from .certify import PlantModel, _gain_pair, certify_gain
 from .graph import WeightedDigraph, consensus_eigenvalues, has_spanning_tree
 from .sim import (
+    DEFAULT_INIT_BOUNDS,
     H_MIN_FRACTION,
     SimulationConfig,
     TopologyRecipe,
@@ -144,17 +145,15 @@ _SCHEMA = {
         "random": ({
             "agents": (_whole, _REQUIRED),
             "lambda_band": (_pair(float), _REQUIRED),
-            "pool_size": (_whole, 4),
+            "pool_size": (_whole, TopologyRecipe.pool_size),
             "seed": (_whole, None),
-            "edge_prob": (float, 0.3),
+            "edge_prob": (float, TopologyRecipe.edge_prob),
         }, _OMITTED),
     }, None),
     "sampling": ({"hbar": (float, _REQUIRED), "h_min": (float, _OMITTED)}, {}),
     "schedule": ({"steps": (_whole, 1000), "switch_period": (_whole, None)}, {}),
     "batch": ({"runs": (_whole, 100), "seed": (_whole, 0)}, {}),
-    "init": ({
-        "bounds": (_list(_pair(float)), [[-10.0, 10.0], [-1.0, 1.0]]),
-    }, {}),
+    "init": ({"bounds": (_list(_pair(float)), [list(b) for b in DEFAULT_INIT_BOUNDS])}, {}),
     "output": ({"dir": (_text, "out"), "full_state": (_flag, False)}, {}),
     "certify": ({"mode": (_choice("band", "fixed"), "band")}, {}),
 }
@@ -229,7 +228,7 @@ def read_graph_file(path) -> WeightedDigraph:
     an error.  Every error names the file and its line.
     """
     lines = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for number, line in enumerate(f, 1):
             text = line.split("#", 1)[0].strip()
             if text:
@@ -271,7 +270,10 @@ def read_graph_file(path) -> WeightedDigraph:
             )
         first_line[link] = number
         edges.append(edge)
-    return WeightedDigraph.from_edges(n, edges, symmetric)
+    try:
+        return WeightedDigraph.from_edges(n, edges, symmetric)
+    except ValueError as exc:  # the total weight; every line passed above
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +308,6 @@ def _build_gain(resolved: dict) -> dict:
     """The gain as keyword arguments of SimulationConfig and certify_gain:
     a design, or a raw gain K with its transform T (None for the identity)."""
     if resolved["design"] is not None:
-        if resolved["plant"]["kind"] != "double_integrator":
-            raise ConfigError(
-                "design synthesis only covers the double-integrator plant; "
-                "give an explicit gain section for general dynamics"
-            )
         spec = DesignSpec(
             resolved["sampling"]["hbar"],
             resolved["design"]["lambda2"],
@@ -322,6 +319,18 @@ def _build_gain(resolved: dict) -> dict:
         "gain": np.array(resolved["gain"]["K"]),
         "transform": None if T is None else np.array(T),
     }
+
+
+def _load(raw: dict, base_dir: Path):
+    """(resolved config, plant, gain keywords, topology, n_agents) of a raw
+    config mapping, built and checked in that order by every command; graph
+    paths are relative to ``base_dir``."""
+    resolved = resolve_config(raw)
+    plant = _build_plant(resolved)
+    gain = _build_gain(resolved)
+    _gain_pair(plant, **gain)  # the library's gain rule, before the topology
+    topology, n_agents = _build_topology(resolved, base_dir)
+    return resolved, plant, gain, topology, n_agents
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +400,23 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _certify_from_config(path) -> tuple[ContractionCertificate, dict]:
-    """The certificate of a config's gain.  Fixed mode takes the exact
-    eigenvalues of its single graph; band mode takes the band that
-    ``simulate`` certifies, and the design band only without a topology."""
-    resolved = resolve_config(load_config(path))
-    topology, _ = _build_topology(resolved, Path(path).parent)
+def cmd_certify(args) -> int:
+    """Certify a config's gain.  Fixed mode takes the exact eigenvalues of
+    its single graph; band mode takes the band that ``simulate`` certifies,
+    and the design band only without a topology.  Inline --hbar --lambda2
+    --lambdaN is the design-only config with those values."""
+    inline = (args.hbar, args.lambda2, args.lambdaN)
+    if args.config is not None:
+        if inline != (None, None, None):
+            raise ConfigError("give --config or --hbar --lambda2 --lambdaN, not both")
+        raw, base_dir = load_config(args.config), Path(args.config).parent
+    elif None in inline:
+        raise ConfigError("give --config or all of --hbar --lambda2 --lambdaN")
+    else:
+        raw = {"design": {"lambda2": args.lambda2, "lambdaN": args.lambdaN},
+               "sampling": {"hbar": args.hbar}}
+        base_dir = Path()
+    resolved, plant, gain, topology, _ = _load(raw, base_dir)
     if resolved["certify"]["mode"] == "fixed":
         if not isinstance(topology, list) or len(topology) != 1:
             raise ConfigError("fixed mode needs topology.graphs with exactly one graph")
@@ -411,29 +431,10 @@ def _certify_from_config(path) -> tuple[ContractionCertificate, dict]:
         lambdas = (resolved["design"]["lambda2"], resolved["design"]["lambdaN"])
     else:
         raise ConfigError("no eigenvalue band available: give design or topology")
-    cert = certify_gain(
-        _build_plant(resolved), resolved["sampling"]["hbar"], lambdas, **_build_gain(resolved)
-    )
-    return cert, {"config_digest": config_digest(resolved)}
-
-
-def cmd_certify(args) -> int:
-    inline = (args.hbar, args.lambda2, args.lambdaN)
-    if args.config is not None:
-        if inline != (None, None, None):
-            raise ConfigError("give --config or --hbar --lambda2 --lambdaN, not both")
-        cert, extra = _certify_from_config(args.config)
-    elif None in inline:
-        raise ConfigError("give --config or all of --hbar --lambda2 --lambdaN")
-    else:
-        spec = DesignSpec(args.hbar, args.lambda2, args.lambdaN)
-        cert = certify_gain(
-            PlantModel.double_integrator(), spec.hbar, (spec.lambda2, spec.lambdaN),
-            design=design(spec),
-        )
-        extra = {}
+    cert = certify_gain(plant, resolved["sampling"]["hbar"], lambdas, **gain)
     if args.report is not None:
-        _write_json(args.report, {**cert.to_dict(), **extra})
+        digest = {} if args.config is None else {"config_digest": config_digest(resolved)}
+        _write_json(args.report, {**cert.to_dict(), **digest})
     lam = complex(cert.worst_point[1])
     lam_text = _fmt(lam.real) if lam.imag == 0.0 else str(lam)
     print(
@@ -449,10 +450,9 @@ def cmd_simulate(args) -> int:
     bound = args.assert_convergence
     if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
         raise ConfigError("--assert-convergence needs a finite R >= 0")
-    resolved = resolve_config(load_config(args.config))
-    plant = _build_plant(resolved)
-    gain = _build_gain(resolved)
-    topology, n_agents = _build_topology(resolved, Path(args.config).parent)
+    resolved, plant, gain, topology, n_agents = _load(
+        load_config(args.config), Path(args.config).parent
+    )
     if topology is None:
         raise ConfigError("topology section is required")
     config = SimulationConfig(

@@ -50,7 +50,9 @@ class GraphBandError(ValueError):
 class WeightedDigraph:
     """Simple weighted digraph on n >= 1 nodes.
 
-    Weights are nonnegative and finite with a zero diagonal (no self-loops).
+    Weights are nonnegative and finite with a zero diagonal (no self-loops),
+    and so is their total: it bounds every degree and the real part of every
+    Laplacian eigenvalue, so spectra of valid graphs do not overflow.
     The stored array is copied and frozen so graphs are safely shareable.
     """
 
@@ -62,8 +64,10 @@ class WeightedDigraph:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
         if w.shape[0] < 1:
             raise ValueError("graph needs at least one node")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = w.sum()
+        if not math.isfinite(total):
+            raise ValueError("weights must be finite, and so must their total")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         if np.any(np.diagonal(w) != 0.0):

@@ -78,7 +78,9 @@ def transform_matrix(mu1: float, mu2: float) -> np.ndarray:
 @dataclass(frozen=True)
 class GainDesign:
     """The design (mu1, mu2, k1, k2).  T = transform_matrix(mu1, mu2) and the
-    feedback row K = [k1, k2] T^-1 derive from it, as read-only arrays."""
+    feedback row K = [k1, k2] T^-1 derive from it, as read-only arrays.  It
+    is a gain for the double-integrator plant only: ``certify_gain`` and
+    ``SimulationConfig`` refuse it for any other plant."""
 
     mu1: float
     mu2: float

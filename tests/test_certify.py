@@ -20,6 +20,7 @@ from sdconsensus.graph import (
     reduction_basis,
 )
 from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value, max_singular_values
+from sdconsensus.sim import SimulationConfig, TopologyRecipe
 from sdconsensus.synthesis import DesignSpec, GainDesign, check_gain_inequalities, design, limits
 from test_synthesis import random_spec
 
@@ -412,6 +413,25 @@ def test_certify_gain_takes_one_gain_and_a_transform_only_with_a_raw_gain(
     # a design carries its own T: one next to it is an error, not ignored
     with pytest.raises(ValueError, match="^transform goes with a raw gain; a design carries"):
         certify_gain(di_plant, 3.0, band, design=dsn, transform=7.0 * np.eye(2))
+
+
+def test_a_design_serves_the_double_integrator_only(di_plant, example1_design):
+    # the same (A, B) under the general tag, and a 3-state plant, both refuse it
+    message = (
+        "^design synthesis only covers the double-integrator plant; "
+        "give an explicit gain section for general dynamics$"
+    )
+    chain = np.diag([1.0, 1.0], 1)
+    for plant in (PlantModel.general(di_plant.A, di_plant.B),
+                  PlantModel.general(chain, np.array([[0.0], [0.0], [1.0]]))):
+        with pytest.raises(ValueError, match=message):
+            certify_gain(plant, 3.0, (0.3, 6.0), design=example1_design)
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(
+                n_agents=5, plant=plant, hbar=3.0, steps=10, runs=1, seed=0,
+                topology=TopologyRecipe(0.3, 6.0), design=example1_design,
+                init_bounds=((-1.0, 1.0),) * plant.n,
+            )
 
 
 def test_certify_gain_picks_the_certificate_by_gain_and_band(di_plant, example1_design):

@@ -623,6 +623,23 @@ def test_simulate_design_needs_double_integrator(tmp_path, capsys):
     assert "double-integrator" in capsys.readouterr().err
 
 
+def test_commands_report_the_first_fault_in_plant_gain_topology_order(tmp_path, capsys):
+    # a design under a general plant and a missing graph file: the gain comes first
+    cfg = sim_config_dict(
+        plant={"kind": "general", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+        topology={"graphs": ["missing.graph"]},
+    )
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    for command in ("certify", "simulate"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: design synthesis only covers")
+    cfg["plant"]["A"] = [[0.0, 1.0]]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    for command in ("certify", "simulate"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: A must be square\n"
+
+
 RAW_GAIN = {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]}
 
 
@@ -970,6 +987,44 @@ def test_graph_file_comments_and_errors(tmp_path):
     bad.write_text("2\n1 2 0.5\n2 1 5.0\n", encoding="utf-8")
     g = cli.read_graph_file(bad)
     assert (g.weights[0, 1], g.weights[1, 0]) == (0.5, 5.0)
+
+
+def test_graph_file_with_a_byte_order_mark_reads_like_one_without(tmp_path):
+    text = "# pair\n2 symmetric\n1 2 0.5\n"
+    plain, marked = tmp_path / "plain.graph", tmp_path / "marked.graph"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    np.testing.assert_array_equal(
+        cli.read_graph_file(marked).weights, cli.read_graph_file(plain).weights
+    )
+
+
+@pytest.mark.parametrize(
+    "weight, mode, command",
+    [
+        ("1e308", "band", "certify"),
+        ("1e308", "band", "simulate"),
+        ("1e308", "fixed", "certify"),
+        # finite degrees, but a total beyond the float range
+        ("8e307", "fixed", "certify"),
+    ],
+)
+def test_graph_weights_that_overflow_exit_usage_without_warnings(
+    tmp_path, capsys, recwarn, weight, mode, command
+):
+    graph = tmp_path / "big.graph"
+    graph.write_text(f"3 symmetric\n1 2 {weight}\n2 3 {weight}\n", encoding="utf-8")
+    cfg = sim_config_dict(topology={"graphs": ["big.graph"]}, certify={"mode": mode})
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    argv = [command, "--config", path]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    message = f"error: {graph}: weights must be finite, and so must their total\n"
+    assert capsys.readouterr().err == message
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,17 @@ def test_every_export_has_a_user():
     assert sorted(exported - used - KEEP_UNUSED) == []
 
 
+@pytest.mark.parametrize("tree", ["src", "tests", "bench"])
+def test_sources_parse_at_the_declared_python_floor(tree):
+    # no syntax newer than pyproject.toml's requires-python (3.10: no except*)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    minor = int(re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.M).group(1))
+    paths = sorted((ROOT / tree).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, minor))
+
+
 def test_version_has_one_value_and_the_module_entry_point_prints_it():
     # a regex, not tomllib: the package supports Python 3.10
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")

@@ -51,6 +51,9 @@ def test_graph_validation():
         WeightedDigraph(np.array([[0.0, -1.0], [0.0, 0.0]]))  # negative
     with pytest.raises(ValueError):
         WeightedDigraph(np.array([[0.0, np.inf], [0.0, 0.0]]))
+    # finite weights whose total overflows would give an infinite degree
+    with pytest.raises(ValueError, match="^weights must be finite, and so must their total$"):
+        WeightedDigraph(np.array([[0.0, 1e308], [1e308, 0.0]]))
     with pytest.raises(ValueError, match="^graph needs at least one node$"):
         WeightedDigraph(np.zeros((0, 0)))
 
