@@ -6,16 +6,19 @@ step
 
     x_i+ = F(h) x_i + G(h) K sum_j w_ij (x_j - x_i).
 
-The runs of a batch advance together as one (runs, n, s) state array.  Every
-run first draws its whole stream (initial state, topology choices, sampling
-intervals) from its own generator, so results do not depend on how runs are
-batched.  Between two switches, the runs that share a topology fill one
-block of states, whose metrics are computed in one call: each step takes
-Y = X - x_0 (differences to agent 0) and the coupling W Y - deg Y, which is
-shift-invariant, so exact agreement gives an exactly zero coupling and stays
-exact.  ``step`` is the same kernel with one run.  The optional cross-check
-applies I kron F - L kron G K as X F^T - (L X)(G K)^T with the dense
-Laplacian L, since (L kron I_s) x = L X, to every step of a block at once.
+The runs of a batch advance together as one agent-major (n, runs, s) state
+array.  Every run first draws its whole stream (initial state, topology
+choices, sampling intervals) from its own generator, so results do not
+depend on how runs are batched.  Between two switches, a stable sort by
+topology makes the runs of each topology a contiguous group, and all runs
+fill one block of states, one kernel call per step: each step takes
+Y = X - x_0 (differences to agent 0) and, per group, the coupling
+W Y - deg Y as one matrix product; it is shift-invariant, so exact agreement
+gives an exactly zero coupling and stays exact.  ``step`` is the same kernel
+with one run.  The metrics take agent-major states (..., n, runs, s) and
+reduce over agents along their rows.  The optional cross-check applies I kron F - L kron G K as
+X F^T - (L X)(G K)^T with the dense Laplacian L, since (L kron I_s) x = L X,
+to every step of a group's block at once.
 
 Every trajectory records the disagreement metric and the transformed reduced
 norm, whose strict decrease is the certified contraction at work.  The norm
@@ -53,9 +56,10 @@ __all__ = [
 DEFAULT_INIT_BOUNDS = ((-10.0, 10.0), (-1.0, 1.0))
 # h_min defaults to hbar * H_MIN_FRACTION, here and in the resolved config
 H_MIN_FRACTION = 1e-3
-# a segment advances in blocks of at most this many state entries (16 MB);
-# a verified block holds about two more block-sized temporaries for its check
-_BLOCK_ENTRIES = 1 << 21
+# a segment advances in blocks of at most this many state entries (8 MB) for
+# all runs at once; nu needs two more block-sized arrays, and a verified
+# block's check three more when all its runs share one topology
+_BLOCK_ENTRIES = 1 << 20
 
 
 class UncertifiedGainError(RuntimeError):
@@ -197,16 +201,21 @@ class BatchResult:
     timings: dict
 
 
-def _advance(X, W, deg, F, GK):
-    """One exact step of the runs ``X`` (runs, n, s) that share topology W.
+def _advance(X, groups, F, GK):
+    """One exact step of the runs ``X``, held agent-major as (n, runs, s).
 
-    ``deg`` holds the row sums of W; ``F`` and ``GK`` (runs, s, s) are each
-    run's F(h) and G(h) K.  The coupling sum_j w_ij (x_j - x_i) is formed as
-    W Y - deg Y on the differences Y to agent 0.
+    ``groups`` lists (a, b, W, deg): the runs a:b share topology W, whose row
+    sums are deg.  ``F`` and ``GK`` (runs, s, s) are each run's F(h) and
+    G(h) K.  The coupling sum_j w_ij (x_j - x_i) is formed as W Y - deg Y on
+    the differences Y to agent 0, with one matrix product per group.
     """
-    Y = X - X[:, :1]
-    coupling = np.tensordot(W, Y, axes=(1, 1)).transpose(1, 0, 2) - deg[:, None] * Y
-    return X @ F.transpose(0, 2, 1) + coupling @ GK.transpose(0, 2, 1)
+    Y = X - X[:1]
+    coupling = np.empty_like(Y)
+    for a, b, W, deg in groups:
+        Yg = Y[:, a:b]
+        coupling[:, a:b] = (W @ Yg.reshape(len(W), -1)).reshape(Yg.shape) - deg[:, None, None] * Yg
+    out = X.swapaxes(0, 1) @ F.transpose(0, 2, 1) + coupling.swapaxes(0, 1) @ GK.transpose(0, 2, 1)
+    return out.swapaxes(0, 1)
 
 
 def _advance_kronecker(X, L, F, GK):
@@ -223,21 +232,28 @@ def _advance_kronecker(X, L, F, GK):
     return X @ np.swapaxes(F, -1, -2) - LX @ np.swapaxes(GK, -1, -2)
 
 
+def _step_form_gaps(seg, L, F, GK) -> np.ndarray:
+    """Per run, the largest gap between the block's steps and the Kronecker form."""
+    block = seg.swapaxes(1, 2)
+    return np.abs(block[1:] - _advance_kronecker(block[:-1], L, F, GK)).max(axis=(0, 2, 3))
+
+
 def _disagreements(X) -> np.ndarray:
     """Largest state difference over agent pairs and components, per run."""
-    return (X.max(axis=1) - X.min(axis=1)).max(axis=1)
+    return (X.max(axis=-3) - X.min(axis=-3)).max(axis=-1)
 
 
 def _reduced_norms(X, Tinv) -> np.ndarray:
     """||(mbar^T kron T^-1) x|| per run, as ||(Y - mean Y) T^-T|| with Y = X - x_0."""
-    Y = X - X[:, :1]
-    Z = (Y - Y.mean(axis=1, keepdims=True)) @ Tinv.T
-    return np.sqrt(np.einsum("rns,rns->r", Z, Z))
+    Y = X - X[..., :1, :, :]
+    Y -= Y.mean(axis=-3, keepdims=True)
+    Z = np.swapaxes(Y, -3, -2) @ Tinv.T  # (..., runs, n, s)
+    return np.sqrt(np.einsum("...ns,...ns->...", Z, Z))
 
 
 def _one_run(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
-    """Checked inputs of a one-run step: the state, F(h) and G(h) K, each as
-    a stack of one run."""
+    """Checked inputs of a one-run step: the state, then F(h) and G(h) K as
+    stacks of one run."""
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape != (g.n, plant.n):
         raise ValueError(f"state must be {g.n}x{plant.n}, got {X.shape}")
@@ -245,7 +261,7 @@ def _one_run(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     if not h > 0.0:
         raise ValueError("h must be positive")
     F, G = plant.discretize(h)
-    return X[None], F[None], (G @ K)[None]
+    return X, F[None], (G @ K)[None]
 
 
 def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -256,7 +272,7 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     """
     X, F, GK = _one_run(state, g, K, h, plant)
     W = g.weights
-    return _advance(X, W, W.sum(axis=1), F, GK)[0]
+    return _advance(X[:, None], [(0, 1, W, W.sum(axis=1))], F, GK)[:, 0]
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -265,7 +281,7 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     Cross-check path for ``step``; the two agree to rounding.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    return _advance_kronecker(X, laplacian(g), F, GK)[0]
+    return _advance_kronecker(X[None], laplacian(g), F, GK)[0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:
@@ -280,7 +296,7 @@ def disagreement(state) -> float:
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("disagreement needs at least two agents")
-    return float(_disagreements(X[None])[0])
+    return float(_disagreements(X[:, None])[0])
 
 
 def reduced_norm(state, basis: np.ndarray, T) -> float:
@@ -294,7 +310,7 @@ def reduced_norm(state, basis: np.ndarray, T) -> float:
     if X.ndim != 2 or X.shape[0] != basis.shape[0]:
         raise ValueError(f"state must have {basis.shape[0]} rows, got {X.shape}")
     Tinv = np.linalg.inv(np.asarray(T, dtype=float))
-    return float(_reduced_norms(X[None], Tinv)[0])
+    return float(_reduced_norms(X[:, None], Tinv)[0])
 
 
 def _topology_band(topology) -> tuple[float, float]:
@@ -324,7 +340,7 @@ def _materialize_pool(config: SimulationConfig, pool_seed) -> list:
 
 
 def _draw_streams(config: SimulationConfig, run_seeds, pool_size: int):
-    """Initial states, sampling intervals and topology indices of every run.
+    """Agent-major initial states, sampling intervals and topology indices.
 
     Each run draws from its own generator: its initial state, then for each
     switching segment the topology index (when switching) followed by the
@@ -334,13 +350,13 @@ def _draw_streams(config: SimulationConfig, run_seeds, pool_size: int):
     lows = np.array([lo for lo, _ in config.init_bounds])
     highs = np.array([hi for _, hi in config.init_bounds])
     runs, steps = config.runs, config.steps
-    X = np.empty((runs, config.n_agents, config.plant.n))
+    X = np.empty((config.n_agents, runs, config.plant.n))
     h = np.empty((runs, steps))
     topology = np.zeros((runs, steps), dtype=int)
     period = config.switch_period or steps
     for r, seed in enumerate(run_seeds):
         rng = np.random.default_rng(seed)
-        X[r] = rng.uniform(lows, highs, size=X.shape[1:])
+        X[:, r] = rng.uniform(lows, highs, size=(config.n_agents, config.plant.n))
         for start in range(0, steps, period):
             stop = min(start + period, steps)
             if config.switch_period is not None:
@@ -379,9 +395,9 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     np.cumsum(h, axis=1, out=t[:, 1:])
     delta = np.empty((runs, steps + 1))
     nu = np.empty((runs, steps + 1))
-    states = np.empty((runs, steps + 1) + X.shape[1:]) if config.record_states else None
+    states = np.empty((runs, steps + 1, len(X), X.shape[2])) if config.record_states else None
     gap = np.zeros(runs)
-    degrees = [g.weights.sum(axis=1) for g in pool]
+    kernels = [(g.weights, g.weights.sum(axis=1)) for g in pool]
     laplacians = [laplacian(g) for g in pool] if config.verify_step_forms else None
     period = config.switch_period or steps
     length = max(1, min(period, _BLOCK_ENTRIES // X.size))
@@ -391,26 +407,30 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     # the convergence ratio report that, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(bounds, [*bounds[1:], steps]):
+            # a stable sort by topology makes each group of the segment the
+            # contiguous slice a:b of the sorted runs
             active = topology[:, start]
-            # runs sharing a topology for the whole segment advance as one block;
-            # its first row is the state at `start`, so the metrics cover k = 0 too
-            for g in sorted(set(active.tolist())):
-                idx = np.flatnonzero(active == g)
-                F, G = config.plant.discretize(h[idx, start:stop].T)
-                GK = G @ config.K
-                seg = np.empty((stop - start + 1, len(idx)) + X.shape[1:])
-                seg[0] = X[idx]
-                for j in range(stop - start):
-                    seg[j + 1] = _advance(seg[j], pool[g].weights, degrees[g], F[j], GK[j])
-                if laplacians is not None:
-                    other = _advance_kronecker(seg[:-1], laplacians[g], F, GK)
-                    gap[idx] = np.maximum(gap[idx], np.abs(seg[1:] - other).max(axis=(0, 2, 3)))
-                flat = seg.reshape((-1,) + X.shape[1:])  # rows: steps, then runs
-                delta[idx, start:stop + 1] = _disagreements(flat).reshape(-1, len(idx)).T
-                nu[idx, start:stop + 1] = _reduced_norms(flat, Tinv).reshape(-1, len(idx)).T
-                if states is not None:
-                    states[idx, start:stop + 1] = seg.swapaxes(0, 1)
-                X[idx] = seg[-1]
+            order = np.argsort(active, kind="stable")
+            edges = [0, *np.cumsum(np.bincount(active, minlength=len(pool))).tolist()]
+            slices = [(g, a, b) for g, (a, b) in enumerate(zip(edges, edges[1:])) if a < b]
+            groups = [(a, b, *kernels[g]) for g, a, b in slices]
+            F, G = config.plant.discretize(h[order, start:stop].T)
+            GK = G @ config.K
+            # every run advances in one block (steps + 1, n, runs, s); its first
+            # row is the state at `start`, so the metrics cover k = 0 too
+            seg = np.empty((stop - start + 1,) + X.shape)
+            seg[0] = X[:, order]
+            for j in range(stop - start):
+                seg[j + 1] = _advance(seg[j], groups, F[j], GK[j])
+            if laplacians is not None:
+                for g, a, b in slices:
+                    gaps = _step_form_gaps(seg[:, :, a:b], laplacians[g], F[:, a:b], GK[:, a:b])
+                    gap[order[a:b]] = np.maximum(gap[order[a:b]], gaps)
+            delta[order, start:stop + 1] = _disagreements(seg).T
+            nu[order, start:stop + 1] = _reduced_norms(seg, Tinv).T
+            if states is not None:
+                states[order, start:stop + 1] = seg.transpose(2, 0, 1, 3)
+            X[:, order] = seg[-1]
     records = [
         TrajectoryRecord(
             r, t[r], h[r], topology[r], delta[r], nu[r],

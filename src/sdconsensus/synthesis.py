@@ -110,15 +110,21 @@ def _check_mu(mu1: float, mu2: float) -> None:
         raise ValueError("transform parameters must satisfy 0 < mu1 < mu2")
 
 
-def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
-    """The four inequality limits for a spec and transform parameters."""
+def _limit_values(spec: DesignSpec, mu1: float, mu2: float) -> tuple[float, ...]:
+    """(a, b, c, d) as computed in floats: near the float limit a limit can
+    underflow to zero."""
     _check_mu(mu1, mu2)
     h, l2, lN = spec.hbar, spec.lambda2, spec.lambdaN
     a = 2.0 * (mu2 - mu1) / (h * lN * (mu1 + mu2 + h))
     b = 4.0 / (lN * (h + max(h, 2.0 * mu1)))
     c = 4.0 / (l2 * (mu1 + mu2))
     d = 4.0 / (lN * (mu1 + mu2 + h))
-    return InequalityLimits(a, b, c, d)
+    return a, b, c, d
+
+
+def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
+    """The four inequality limits for a spec and transform parameters."""
+    return InequalityLimits(*_limit_values(spec, mu1, mu2))
 
 
 def is_feasible(spec: DesignSpec, mu1: float, mu2: float) -> bool:
@@ -193,11 +199,15 @@ def design(spec: DesignSpec) -> GainDesign:
 
 
 def check_gain_inequalities(spec: DesignSpec, dsn: GainDesign) -> bool:
-    """All six strict gain inequalities for the given spec and design."""
-    lim = limits(spec, dsn.mu1, dsn.mu2)
+    """All six strict gain inequalities for the given spec and design.
+
+    The limits are compared as computed, so one that underflows to zero
+    fails its inequality.
+    """
+    a, b, c, d = _limit_values(spec, dsn.mu1, dsn.mu2)
     k1, k2 = dsn.k1, dsn.k2
     return (
-        0.0 < k1 < lim.a
-        and lim.c < k2 < lim.b
-        and 0.0 < k2 - k1 < lim.d
+        0.0 < k1 < a
+        and c < k2 < b
+        and 0.0 < k2 - k1 < d
     )

@@ -1027,6 +1027,33 @@ def test_graph_weights_that_overflow_exit_usage_without_warnings(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weight", ["1e300", "8e307"])
+@pytest.mark.parametrize(
+    "command, code", [("certify", cli.EXIT_REFUTED), ("simulate", cli.EXIT_UNCERTIFIED)]
+)
+def test_design_over_a_band_near_the_float_limit_gets_a_verdict(
+    tmp_path, capsys, recwarn, weight, command, code
+):
+    # band [2w, 2w]: at 8e307 the inequality limits underflow to zero, which
+    # fails them as the tiny limits at 1e300 do, instead of an internal error
+    graph = tmp_path / "big.graph"
+    graph.write_text(f"2 symmetric\n1 2 {weight}\n", encoding="utf-8")
+    path = write_yaml(tmp_path / "cfg.yaml", sim_config_dict(topology={"graphs": ["big.graph"]}))
+    report = tmp_path / "report.json"
+    argv = [command, "--config", path, "--report", str(report)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    assert json.loads(report.read_text(), parse_constant=reject)["verdict"] == "refuted"
+    assert "Warning" not in capsys.readouterr().err
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # documentation
 

@@ -432,6 +432,27 @@ def test_run_long_segment_in_blocks_gives_the_same_records(monkeypatch, example1
         assert a.step_form_gap == b.step_form_gap
 
 
+@pytest.mark.parametrize("block_entries", [None, 7 * 3 * 5 * 2])
+def test_run_makes_one_kernel_call_per_step(monkeypatch, example1_design, block_entries):
+    # every run of a segment advances in the same call, however many topology
+    # groups the segment holds, with whole segments and with short blocks
+    if block_entries is not None:
+        monkeypatch.setattr(sim, "_BLOCK_ENTRIES", block_entries)
+    exact = sim._advance
+    calls = itertools.count()
+
+    def advance(*args):
+        next(calls)
+        return exact(*args)
+
+    monkeypatch.setattr(sim, "_advance", advance)
+    cfg = small_config(design=example1_design, runs=8, steps=45, switch_period=20)
+    result = run(cfg)
+    topology = np.array([rec.topology for rec in result.records])
+    assert all(len(set(topology[:, k])) > 1 for k in range(0, cfg.steps, cfg.switch_period))
+    assert next(calls) == cfg.steps
+
+
 @pytest.mark.parametrize("n", [5, 100])
 def test_run_metrics_equal_the_public_helpers(n, example1_design):
     # delta and nu of a run are the helpers' values on its states, bit for bit,
@@ -523,6 +544,11 @@ def _oracle_config(case, example1_design):
         "one-graph-pool": dict(topology=[complete_graph(5)]),
         "one-run": dict(runs=1),
         "recorded-states": dict(record_states=True, runs=4),
+        # several groups share each segment, and their runs are not in run order
+        # (the default pool of 3 graphs)
+        "interleaved-groups": dict(
+            runs=8, switch_period=7, record_states=True, verify_step_forms=True,
+        ),
     }[case]
     return small_config(design=example1_design, **overrides)
 
@@ -535,6 +561,7 @@ def _oracle_config(case, example1_design):
         "one-graph-pool",
         "one-run",
         "recorded-states",
+        "interleaved-groups",
         "single-integrator-verified",
     ],
 )
