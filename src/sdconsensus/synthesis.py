@@ -112,13 +112,20 @@ def _check_mu(mu1: float, mu2: float) -> None:
 
 def _limit_values(spec: DesignSpec, mu1: float, mu2: float) -> tuple[float, ...]:
     """(a, b, c, d) as computed in floats: near the float limit a limit can
-    underflow to zero."""
+    underflow to zero.  A denominator that underflows to zero (a spec too
+    small for floats, such as hbar = lambda2 = lambdaN = 1e-200) raises a
+    ValueError that names the spec."""
     _check_mu(mu1, mu2)
     h, l2, lN = spec.hbar, spec.lambda2, spec.lambdaN
-    a = 2.0 * (mu2 - mu1) / (h * lN * (mu1 + mu2 + h))
-    b = 4.0 / (lN * (h + max(h, 2.0 * mu1)))
-    c = 4.0 / (l2 * (mu1 + mu2))
-    d = 4.0 / (lN * (mu1 + mu2 + h))
+    dens = (h * lN * (mu1 + mu2 + h), lN * (h + max(h, 2.0 * mu1)),
+            l2 * (mu1 + mu2), lN * (mu1 + mu2 + h))
+    if 0.0 in dens:
+        raise ValueError(
+            f"the gain limits of hbar = {h!r}, lambda2 = {l2!r}, lambdaN = {lN!r} "
+            "underflow: the spec is too small for floating point"
+        )
+    a = 2.0 * (mu2 - mu1) / dens[0]
+    b, c, d = 4.0 / dens[1], 4.0 / dens[2], 4.0 / dens[3]
     return a, b, c, d
 
 

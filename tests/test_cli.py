@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -71,6 +74,21 @@ def test_design_invalid_band(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["design", "certify"])
+def test_spec_too_small_for_floats_exits_usage_without_traceback(command):
+    # hbar * lambdaN * (mu1 + mu2 + hbar) underflows to zero at this spec
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdconsensus.cli", command,
+         "--hbar", "1e-200", "--lambda2", "1e-200", "--lambdaN", "1e-200"],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "hbar = 1e-200" in line
+
+
 # ---------------------------------------------------------------------------
 # certify command
 
@@ -89,6 +107,13 @@ def test_certify_inline_example1(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["verdict"] == "certified"
     assert payload["margin"] > 0.0
+
+
+def test_certify_inline_near_identity_design_is_certified(capsys):
+    # at hbar = 1e-12 every sampled M(h) is within 1e-10 of the identity
+    rc = cli.main(["certify", "--hbar", "1e-12", "--lambda2", "1", "--lambdaN", "1e4"])
+    assert rc == cli.EXIT_OK
+    assert "verdict: certified" in capsys.readouterr().out
 
 
 def test_certify_inline_needs_all_args(capsys):

@@ -1,4 +1,4 @@
-"""A fresh process loads scipy only for the code paths that need it.
+"""No command or library call of the package loads scipy in a fresh process.
 
 The pytest process itself has scipy loaded (test_numerics imports it), so
 each check runs in a new interpreter with the package on PYTHONPATH.
@@ -60,7 +60,8 @@ def test_double_integrator_commands_do_not_import_scipy(tmp_path):
     assert loaded == []
 
 
-def test_general_plant_certificate_imports_scipy_linalg(tmp_path):
+def test_general_plant_commands_do_not_import_scipy(tmp_path):
+    # general plants discretize with the package's own stacked exponential
     config = tmp_path / "general.yaml"
     config.write_text(yaml.safe_dump({
         "plant": {"kind": "general", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
@@ -71,14 +72,24 @@ def test_general_plant_certificate_imports_scipy_linalg(tmp_path):
     loaded = scipy_modules_after(
         """
         import contextlib, io, sys
-        from sdconsensus import cli
+        import numpy as np
+        from sdconsensus import DesignSpec, PlantModel, cli, design, sim
 
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["certify", "--config", sys.argv[1]]) != cli.EXIT_USAGE
+            assert cli.main(["certify", "--config", sys.argv[1]]) == cli.EXIT_OK
+        dsn = design(DesignSpec(3.0, 0.3, 6.0))
+        di = PlantModel.double_integrator()
+        result = sim.run(sim.SimulationConfig(
+            n_agents=5, plant=PlantModel.general(di.A, di.B), hbar=3.0, steps=20,
+            runs=2, seed=1, topology=sim.TopologyRecipe(0.3, 6.0),
+            gain=dsn.K, transform=dsn.T,
+        ))
+        assert result.certificate.verdict == "certified"
+        assert np.isfinite(result.records[0].nu).all()
         """,
         str(config),
     )
-    assert "scipy.linalg" in loaded
+    assert loaded == []
 
 
 def test_step_form_cross_check_does_not_import_scipy():

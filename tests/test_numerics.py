@@ -105,6 +105,37 @@ def test_expm_stack_equals_per_interval_calls():
         expm(a, [0.5, -0.5])
 
 
+def test_expm_stack_mixes_squaring_counts():
+    # h from 1e-9 to 50 scales A h by 2^0 up to 2^-5 or further in one call
+    # (5.37... is theta_13, the 1-norm the Pade(13) step takes unscaled)
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 3))
+    h = np.geomspace(1e-9, 50.0, 40)
+    squarings = np.maximum(np.frexp(h * np.abs(a).sum(axis=0).max() / 5.371920351148152)[1], 0)
+    assert squarings.min() == 0 and squarings.max() >= 5
+    got = expm(a, h)
+    for i, hi in enumerate(h):
+        want = scipy.linalg.expm(a * hi)
+        assert np.abs(got[i] - want).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(got[i], expm(a, float(hi)))
+
+
+def test_expm_empty_stack():
+    assert expm(np.eye(3), np.array([])).shape == (0, 3, 3)
+    assert expm(np.eye(2), np.zeros((2, 0))).shape == (2, 0, 2, 2)
+
+
+def test_expm_double_integrator_augmented_closed_form():
+    # [[A, B], [0, 0]] of the double integrator is nilpotent of order three
+    aug = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    h = np.linspace(0.0, 10.0, 41)
+    want = np.zeros(h.shape + (3, 3))
+    want[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    want[:, 0, 1] = want[:, 1, 2] = h
+    want[:, 0, 2] = 0.5 * h * h
+    np.testing.assert_allclose(expm(aug, h), want, rtol=1e-14, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # expm_integral
 
@@ -195,9 +226,24 @@ def test_max_singular_values_batch_matches_per_matrix():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
+def test_max_singular_values_near_identity_match_lapack():
+    # sigma_max of I + 1e-7 R: sqrt(f^2 - 4 |det|^2), f the squared Frobenius
+    # norm, cancels here and loses about 1e-8
+    rng = np.random.default_rng(43)
+    real = rng.standard_normal((20000, 2, 2))
+    for pert in (real, real + 1j * rng.standard_normal((20000, 2, 2))):
+        stack = np.eye(2) + 1e-7 * pert
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(max_singular_values(stack), want, rtol=0.0, atol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_singular_values(np.array([[1e300, 1e300], [0.0, 1e-300]]))
+    assert got == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+
+
 def test_max_singular_values_huge_2x2_entries_match_lapack():
-    # the closed form squares |a|^2, which overflows past about 1e77; such
-    # matrices go through LAPACK and the others keep their closed-form bits
+    # |a|^2 overflows past about 1e77; the closed form divides each matrix by
+    # a power of two near its largest entry first, so the stack still matches
     rng = np.random.default_rng(23)
     small = rng.standard_normal((5, 2, 2))
     for exponent in (80, 120, 160, 200, 250, 300):

@@ -491,6 +491,19 @@ def test_run_raw_gain_single_integrator_certifies_with_identity():
         assert np.all(nu[1:][active] < nu[:-1][active])
 
 
+def test_run_general_tagged_double_integrator_matches_closed_form(example1_design):
+    # the same dynamics through the stacked Pade exponential instead of the
+    # closed-form F and G: every nu agrees to rounding
+    di = PlantModel.double_integrator()
+    gain = dict(gain=example1_design.K, transform=example1_design.T)
+    closed = run(small_config(steps=200, **gain))
+    general = run(small_config(plant=PlantModel.general(di.A, di.B), steps=200, **gain))
+    assert closed.certificate.verdict == general.certificate.verdict == "certified"
+    for rc, rg in zip(closed.records, general.records):
+        assert np.array_equal(rc.h, rg.h)
+        np.testing.assert_allclose(rg.nu, rc.nu, rtol=1e-12, atol=0.0)
+
+
 def _reference_run(config, pool, K, T):
     """Step-by-step batch: scalar draws per step, the pairwise-difference step
     and the Helmert-basis reduced norm, one run after another."""
