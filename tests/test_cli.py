@@ -110,7 +110,8 @@ def test_certify_inline_example1(tmp_path, capsys):
 
 
 def test_certify_inline_near_identity_design_is_certified(capsys):
-    # at hbar = 1e-12 every sampled M(h) is within 1e-10 of the identity
+    # the worst sampled sigma is 1 - 1.6e-14: a 2x2 kernel that cancels near
+    # the identity (errors up to 1e-8) refutes this proven design
     rc = cli.main(["certify", "--hbar", "1e-12", "--lambda2", "1", "--lambdaN", "1e4"])
     assert rc == cli.EXIT_OK
     assert "verdict: certified" in capsys.readouterr().out
