@@ -7,6 +7,11 @@ transform T(mu1, mu2) turns the closed-loop family into matrices whose
 row/column sums stay below one exactly when the transformed gains (k1, k2)
 satisfy six strict inequalities; this module computes the inequality limits,
 decides feasibility, and picks the design (mu1, mu2, k1, k2).
+
+``limits`` is the one evaluation of a, b, c, d; ``design`` and
+``check_gain_inequalities`` compare against it as computed.  A spec the
+designer cannot serve in floats (limits that underflow, gains that round
+outside them) gets a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class InequalityLimits:
-    """The four positive limit values bounding (k1, k2, k2 - k1).
+    """The four limit values bounding (k1, k2, k2 - k1), computed once by
+    ``limits`` and kept as computed: near the float limits one may be 0 or
+    inf, which ``abstract_consistency`` refuses.
 
     The admissible region is 0 < k1 < a, c < k2 < b, 0 < k2 - k1 < d.
     """
@@ -58,12 +65,6 @@ class InequalityLimits:
     b: float
     c: float
     d: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"limit {name} must be positive and finite")
 
 
 def transform_matrix(mu1: float, mu2: float) -> np.ndarray:
@@ -110,11 +111,12 @@ def _check_mu(mu1: float, mu2: float) -> None:
         raise ValueError("transform parameters must satisfy 0 < mu1 < mu2")
 
 
-def _limit_values(spec: DesignSpec, mu1: float, mu2: float) -> tuple[float, ...]:
-    """(a, b, c, d) as computed in floats: near the float limit a limit can
-    underflow to zero.  A denominator that underflows to zero (a spec too
-    small for floats, such as hbar = lambda2 = lambdaN = 1e-200) raises a
-    ValueError that names the spec."""
+def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
+    """The four inequality limits for a spec and transform parameters: the
+    one evaluation of a, b, c, d, returned as computed in floats.  A
+    denominator that underflows to zero (a spec too small for floats, such
+    as hbar = lambda2 = lambdaN = 1e-200) raises a ValueError that names the
+    spec."""
     _check_mu(mu1, mu2)
     h, l2, lN = spec.hbar, spec.lambda2, spec.lambdaN
     dens = (h * lN * (mu1 + mu2 + h), lN * (h + max(h, 2.0 * mu1)),
@@ -125,13 +127,12 @@ def _limit_values(spec: DesignSpec, mu1: float, mu2: float) -> tuple[float, ...]
             "underflow: the spec is too small for floating point"
         )
     a = 2.0 * (mu2 - mu1) / dens[0]
-    b, c, d = 4.0 / dens[1], 4.0 / dens[2], 4.0 / dens[3]
-    return a, b, c, d
+    return InequalityLimits(a, 4.0 / dens[1], 4.0 / dens[2], 4.0 / dens[3])
 
 
-def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
-    """The four inequality limits for a spec and transform parameters."""
-    return InequalityLimits(*_limit_values(spec, mu1, mu2))
+def _inside(lim: InequalityLimits, k1: float, k2: float) -> bool:
+    """The six strict gain inequalities."""
+    return 0.0 < k1 < lim.a and lim.c < k2 < lim.b and 0.0 < k2 - k1 < lim.d
 
 
 def is_feasible(spec: DesignSpec, mu1: float, mu2: float) -> bool:
@@ -149,9 +150,12 @@ def is_feasible(spec: DesignSpec, mu1: float, mu2: float) -> bool:
 def abstract_consistency(a: float, b: float, c: float, d: float) -> bool:
     """Whether 0 < k1 < a, c < k2 < b, 0 < k2 - k1 < d admits a solution.
 
-    Holds if and only if b > c and a + d > c.
+    Holds if and only if b > c and a + d > c.  Each limit must be positive
+    and finite.
     """
-    InequalityLimits(a, b, c, d)  # the limits' own positivity rule
+    for name, v in zip("abcd", (a, b, c, d)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"limit {name} must be positive and finite")
     return b > c and a + d > c
 
 
@@ -185,9 +189,10 @@ def design(spec: DesignSpec) -> GainDesign:
     its admissible interval.  With mu1 = hbar / 2 the limits satisfy
     a = b - d exactly, so the midpoint interval is empty whenever
     c > b - 0.1 d (thin feasibility margin, e.g. large hbar with a wide
-    band); in that case the consistency witness supplies valid gains
-    instead.  The six strict inequalities are always re-checked, never
-    assumed.
+    band); in that case the consistency witness supplies the gains.  The
+    limits are computed once, and the design is checked against them as
+    computed, never assumed: a spec whose gains round outside them gets a
+    ValueError that names it.
     """
     mu1 = spec.hbar / 2.0
     mu2 = -mu1 + 2.0 * spec.hbar * spec.lambdaN / spec.lambda2 + 1.0
@@ -195,26 +200,18 @@ def design(spec: DesignSpec) -> GainDesign:
     dk = 0.9 * lim.d
     k1 = 0.5 * (min(lim.a, lim.b - dk) + max(0.0, lim.c - dk))
     k2 = k1 + dk
+    if not _inside(lim, k1, k2):
+        k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
     dsn = GainDesign(mu1, mu2, k1, k2)
-    if check_gain_inequalities(spec, dsn):
-        return dsn
-    k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
-    dsn = GainDesign(mu1, mu2, k1, k2)
-    if not check_gain_inequalities(spec, dsn):
-        raise RuntimeError("gain design failed its own inequality check")
+    if not _inside(lim, dsn.k1, dsn.k2):
+        raise ValueError(
+            f"the gains of hbar = {spec.hbar!r}, lambda2 = {spec.lambda2!r}, "
+            f"lambdaN = {spec.lambdaN!r} round outside the gain inequalities"
+        )
     return dsn
 
 
 def check_gain_inequalities(spec: DesignSpec, dsn: GainDesign) -> bool:
-    """All six strict gain inequalities for the given spec and design.
-
-    The limits are compared as computed, so one that underflows to zero
-    fails its inequality.
-    """
-    a, b, c, d = _limit_values(spec, dsn.mu1, dsn.mu2)
-    k1, k2 = dsn.k1, dsn.k2
-    return (
-        0.0 < k1 < a
-        and c < k2 < b
-        and 0.0 < k2 - k1 < d
-    )
+    """All six strict gain inequalities for the given spec and design,
+    against ``limits`` as computed: a limit that underflows to zero fails."""
+    return _inside(limits(spec, dsn.mu1, dsn.mu2), dsn.k1, dsn.k2)

@@ -38,6 +38,7 @@ from sdconsensus.synthesis import (
     is_feasible,
     limits,
 )
+from test_synthesis import random_spec, replay_design
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,23 +55,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(line)
 
 
-def exact_replay(hbar: Fraction, lambda2: Fraction, lambdaN: Fraction):
-    """Exact-arithmetic replay of the midpoint design rule (oracle)."""
-    mu1 = hbar / 2
-    mu2 = -mu1 + 2 * hbar * lambdaN / lambda2 + 1
-    a = 2 * (mu2 - mu1) / (hbar * lambdaN * (mu1 + mu2 + hbar))
-    b = Fraction(4) / (lambdaN * (hbar + max(hbar, 2 * mu1)))
-    c = Fraction(4) / (lambda2 * (mu1 + mu2))
-    d = Fraction(4) / (lambdaN * (mu1 + mu2 + hbar))
-    dk = Fraction(9, 10) * d
-    k1 = (min(a, b - dk) + max(Fraction(0), c - dk)) / 2
-    k2 = k1 + dk
-    det = 2 * (mu2 - mu1)
-    K1 = 2 * k1 / det
-    K2 = (k1 * (mu2 + mu1) + k2 * (mu2 - mu1)) / det
-    return k1, k2, K1, K2
-
-
 def _design_runtime(spec: DesignSpec) -> float:
     best = np.inf
     for _ in range(5):
@@ -78,13 +62,6 @@ def _design_runtime(spec: DesignSpec) -> float:
         design(spec)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def random_spec(rng) -> DesignSpec:
-    hbar = float(10.0 ** rng.uniform(-1.0, 2.0))
-    lambda2 = float(10.0 ** rng.uniform(-2.0, 1.0))
-    ratio = float(10.0 ** rng.uniform(0.0, 3.0))
-    return DesignSpec(hbar, lambda2, lambda2 * ratio)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +93,7 @@ def _gain_reproduction(num, label, spec_args, frac_args, published):
     dsn = design(spec)
     K = dsn.K[0]
     rounded_ok = (round(float(K[0]), 4), round(float(K[1]), 4)) == published
-    k1, k2, K1, K2 = exact_replay(*frac_args)
+    _, _, k1, k2, K1, K2 = replay_design(*frac_args)
     replay_ok = (
         abs(dsn.k1 - float(k1)) <= 1e-12 * float(k1)
         and abs(dsn.k2 - float(k2)) <= 1e-12 * float(k2)

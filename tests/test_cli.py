@@ -74,19 +74,35 @@ def test_design_invalid_band(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["design", "certify"])
-def test_spec_too_small_for_floats_exits_usage_without_traceback(command):
-    # hbar * lambdaN * (mu1 + mu2 + hbar) underflows to zero at this spec
+_SPEC_200 = ["--hbar", "1e-200", "--lambda2", "1e-200", "--lambdaN", "1e-200"]
+_SPEC_150 = ["--hbar", "1e-150", "--lambda2", "1", "--lambdaN", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, hbar",
+    [
+        # hbar * lambdaN * (mu1 + mu2 + hbar) underflows to zero at this spec
+        pytest.param(["design", *_SPEC_200], "1e-200", id="design"),
+        pytest.param(["certify", *_SPEC_200], "1e-200", id="certify"),
+        # the limits are finite, but k2 - k1 = 0.036 is lost next to k1 = 1e148
+        pytest.param(["design", *_SPEC_150], "1e-150", id="design-1e-150"),
+        pytest.param(["certify", *_SPEC_150], "1e-150", id="certify-1e-150"),
+        pytest.param(
+            ["sweep", "--hbar-axis", "1e-150", "1e-150", "1", "--ratio-axis", "100", "100", "1"],
+            "1e-150", id="sweep-1e-150",
+        ),
+    ],
+)
+def test_spec_too_small_for_floats_exits_usage_without_traceback(argv, hbar):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-m", "sdconsensus.cli", command,
-         "--hbar", "1e-200", "--lambda2", "1e-200", "--lambdaN", "1e-200"],
+        [sys.executable, "-m", "sdconsensus.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert proc.returncode == cli.EXIT_USAGE
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: ") and "hbar = 1e-200" in line
+    assert line.startswith("error: ") and f"hbar = {hbar}" in line
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,26 @@ def test_every_export_has_a_user():
     assert sorted(exported - used - KEEP_UNUSED) == []
 
 
+def test_no_source_module_raises_a_bare_runtime_error():
+    # a request the program cannot serve is a ValueError (exit 2); the one
+    # RuntimeError is UncertifiedGainError, which cli maps to exit 4
+    # (test_cli's refusal tests check that exit code)
+    subclasses = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "RuntimeError"), (
+                    f"{path.name}:{node.lineno}"
+                )
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "RuntimeError" for base in node.bases
+            ):
+                subclasses.append(node.name)
+    assert subclasses == ["UncertifiedGainError"]
+    assert importlib.import_module("sdconsensus.cli").EXIT_UNCERTIFIED == 4
+
+
 @pytest.mark.parametrize("tree", ["src", "tests", "bench"])
 def test_sources_parse_at_the_declared_python_floor(tree):
     # no syntax newer than pyproject.toml's requires-python (3.10: no except*)

@@ -18,11 +18,7 @@ from sdconsensus.sim import (
     step,
     step_kronecker,
 )
-from test_graph import complete_graph
-
-
-def pair_graph(w=1.0):
-    return WeightedDigraph.from_edges(2, [(0, 1, w)], symmetric=True)
+from test_graph import complete_graph, pair_graph
 
 
 def small_config(**overrides):

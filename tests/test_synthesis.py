@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,20 @@ def test_limits_rejects_mu_order():
         limits(spec, 2.0, 1.0)
     with pytest.raises(ValueError):
         limits(spec, -1.0, 1.0)
+
+
+def test_limits_are_as_computed_and_abstract_consistency_demands_positive_finite():
+    # a = 2 (mu2 - mu1) / (hbar lambdaN (mu1 + mu2 + hbar)) overflows at a
+    # subnormal hbar: limits returns it, the consumers of limits refuse it
+    spec = DesignSpec(1e-310, 1.0, 1.0)
+    mu1 = spec.hbar / 2.0
+    mu2 = -mu1 + 2.0 * spec.hbar * spec.lambdaN / spec.lambda2 + 1.0
+    lim = limits(spec, mu1, mu2)
+    assert lim.a == math.inf
+    with pytest.raises(ValueError, match="^limit a must be positive and finite$"):
+        abstract_consistency(lim.a, lim.b, lim.c, lim.d)
+    with pytest.raises(ValueError):
+        design(spec)
 
 
 # ---------------------------------------------------------------------------
