@@ -2,9 +2,12 @@
 
 Edge convention: ``weights[i, j] > 0`` means there is a link carrying agent
 j's state to agent i (j is an in-neighbor of i).  A graph is balanced here
-when its weight matrix is symmetric: stricter than the paper's "balanced"
-(row sums equal column sums), as the real spectra below need, until
-balanced digraphs get a certificate of their own (see ROADMAP.md).
+when its weight matrix is exactly symmetric: stricter than the paper's
+"balanced" (row sums equal column sums), as the real spectra below need,
+until balanced digraphs get a certificate of their own (see ROADMAP.md).
+No check here has a tolerance tied to the units of the weights: a graph
+scaled by a power of two gets the same balance and spanning-tree answers,
+and its spectrum scales by that power.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "random_balanced_graph",
 ]
 
-_BALANCE_TOL = 1e-12  # largest |w_ij - w_ji| that is_balanced accepts
 _MAX_TRIES = 200  # samples random_balanced_graph draws before it gives up
 
 
@@ -110,10 +112,12 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 
 
 def is_balanced(g: WeightedDigraph) -> bool:
-    """True when the weight matrix is symmetric up to 1e-12: stricter than
-    the paper's balance (row sums equal column sums), which directed rings meet."""
+    """True when the weight matrix equals its transpose exactly, at any
+    scale: stricter than the paper's balance (row sums equal column sums),
+    which directed rings meet.  A nearly symmetric W can be symmetrized as
+    ``(W + W.T) / 2``, which is exactly symmetric in floats."""
     w = g.weights
-    return bool(np.abs(w - w.T).max(initial=0.0) <= _BALANCE_TOL)
+    return bool(np.array_equal(w, w.T))
 
 
 def _reaches_all(send: np.ndarray, root: int) -> bool:
@@ -143,17 +147,17 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
 def spectrum(g: WeightedDigraph) -> SpectrumSummary:
     """Exact Laplacian spectrum of a balanced graph, sorted ascending.
 
-    lambda2 is positive exactly when the graph is connected.  Tiny negative
-    eigenvalues from rounding are clamped to zero (the balanced Laplacian is
-    positive semidefinite).  Raises UnsupportedGraphError for non-balanced
-    graphs, whose spectra are complex.
+    In exact arithmetic lambda2 is positive exactly when the graph is
+    connected.  The values are eigvalsh's as computed, so a zero eigenvalue
+    may come out as a rounding-sized number of either sign;
+    ``has_spanning_tree`` is the connectivity test.  Raises
+    UnsupportedGraphError for non-balanced graphs, whose spectra are complex.
     """
     if g.n < 2:
         raise ValueError("spectrum needs at least two nodes")
     if not is_balanced(g):
         raise UnsupportedGraphError("exact spectrum requires a balanced graph")
     ev = np.linalg.eigvalsh(laplacian(g))
-    ev = np.where((ev < 0.0) & (ev > -1e-10), 0.0, ev)
     ev.setflags(write=False)
     return SpectrumSummary(ev, float(ev[1]), float(ev[-1]))
 

@@ -339,13 +339,14 @@ def _materialize_pool(config: SimulationConfig, pool_seed) -> list:
     return list(config.topology)
 
 
-def _draw_streams(config: SimulationConfig, run_seeds, pool_size: int):
+def _draw_streams(config: SimulationConfig, pool_size: int):
     """Agent-major initial states, sampling intervals and topology indices.
 
-    Each run draws from its own generator: its initial state, then for each
-    switching segment the topology index (when switching) followed by the
-    segment's intervals.  A vector draw gives the values of the same number
-    of scalar draws, so the streams equal those of step-by-step drawing.
+    Each run draws from its own generator, seeded with child r + 1 of the
+    batch seed: its initial state, then for each switching segment the
+    topology index (when switching) followed by the segment's intervals.  A
+    vector draw gives the values of the same number of scalar draws, so the
+    streams equal those of step-by-step drawing.
     """
     lows = np.array([lo for lo, _ in config.init_bounds])
     highs = np.array([hi for _, hi in config.init_bounds])
@@ -354,8 +355,8 @@ def _draw_streams(config: SimulationConfig, run_seeds, pool_size: int):
     h = np.empty((runs, steps))
     topology = np.zeros((runs, steps), dtype=int)
     period = config.switch_period or steps
-    for r, seed in enumerate(run_seeds):
-        rng = np.random.default_rng(seed)
+    for r in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r + 1,)))
         X[:, r] = rng.uniform(lows, highs, size=(config.n_agents, config.plant.n))
         for start in range(0, steps, period):
             stop = min(start + period, steps)
@@ -369,13 +370,14 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     """Execute the batch: independent seeded runs with switching topologies.
 
     Refuses to run an uncertified gain unless ``force`` is set; the refusal
-    carries the certificate.  Runs derive their generators from the master
-    seed, so results are deterministic and independent of execution order.
+    carries the certificate.  The pool and run r derive their generators
+    from children 0 and r + 1 of the batch seed, so results are
+    deterministic and independent of execution order.  Each child is made
+    when it is needed, equal to the one ``SeedSequence(seed).spawn`` returns,
+    so a huge ``runs`` fails at the first batch array, not in a list of seeds.
     """
     t0 = time.perf_counter()
-    master = np.random.SeedSequence(config.seed)
-    pool_seed, *run_seeds = master.spawn(config.runs + 1)
-    pool = _materialize_pool(config, pool_seed)
+    pool = _materialize_pool(config, np.random.SeedSequence(config.seed, spawn_key=(0,)))
     t1 = time.perf_counter()
     cert = certify_gain(
         config.plant, config.hbar, config.band,
@@ -389,7 +391,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
         )
     t2 = time.perf_counter()
     Tinv = np.linalg.inv(config.T)
-    X, h, topology = _draw_streams(config, run_seeds, len(pool))
+    X, h, topology = _draw_streams(config, len(pool))
     runs, steps = h.shape
     t = np.zeros((runs, steps + 1))
     np.cumsum(h, axis=1, out=t[:, 1:])

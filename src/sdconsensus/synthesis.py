@@ -10,8 +10,8 @@ decides feasibility, and picks the design (mu1, mu2, k1, k2).
 
 ``limits`` is the one evaluation of a, b, c, d; ``design`` and
 ``check_gain_inequalities`` compare against it as computed.  A spec the
-designer cannot serve in floats (limits that underflow, gains that round
-outside them) gets a ValueError that names it.
+designer cannot serve (limits that underflow or admit no gains, gains that
+round outside them) gets a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -111,6 +111,10 @@ def _check_mu(mu1: float, mu2: float) -> None:
         raise ValueError("transform parameters must satisfy 0 < mu1 < mu2")
 
 
+def _named(spec: DesignSpec) -> str:
+    return f"hbar = {spec.hbar!r}, lambda2 = {spec.lambda2!r}, lambdaN = {spec.lambdaN!r}"
+
+
 def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
     """The four inequality limits for a spec and transform parameters: the
     one evaluation of a, b, c, d, returned as computed in floats.  A
@@ -123,8 +127,8 @@ def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
             l2 * (mu1 + mu2), lN * (mu1 + mu2 + h))
     if 0.0 in dens:
         raise ValueError(
-            f"the gain limits of hbar = {h!r}, lambda2 = {l2!r}, lambdaN = {lN!r} "
-            "underflow: the spec is too small for floating point"
+            f"the gain limits of {_named(spec)} underflow: "
+            "the spec is too small for floating point"
         )
     a = 2.0 * (mu2 - mu1) / dens[0]
     return InequalityLimits(a, 4.0 / dens[1], 4.0 / dens[2], 4.0 / dens[3])
@@ -191,8 +195,10 @@ def design(spec: DesignSpec) -> GainDesign:
     c > b - 0.1 d (thin feasibility margin, e.g. large hbar with a wide
     band); in that case the consistency witness supplies the gains.  The
     limits are computed once, and the design is checked against them as
-    computed, never assumed: a spec whose gains round outside them gets a
-    ValueError that names it.
+    computed, never assumed.  Every failure is a ValueError that names the
+    spec: limits that underflow, limits with no witness (an inconsistent
+    region, or a limit that is not positive and finite), and gains that
+    round outside the limits.
     """
     mu1 = spec.hbar / 2.0
     mu2 = -mu1 + 2.0 * spec.hbar * spec.lambdaN / spec.lambda2 + 1.0
@@ -201,13 +207,13 @@ def design(spec: DesignSpec) -> GainDesign:
     k1 = 0.5 * (min(lim.a, lim.b - dk) + max(0.0, lim.c - dk))
     k2 = k1 + dk
     if not _inside(lim, k1, k2):
-        k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
+        try:
+            k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
+        except ValueError as exc:
+            raise ValueError(f"{_named(spec)}: {exc}") from None
     dsn = GainDesign(mu1, mu2, k1, k2)
     if not _inside(lim, dsn.k1, dsn.k2):
-        raise ValueError(
-            f"the gains of hbar = {spec.hbar!r}, lambda2 = {spec.lambda2!r}, "
-            f"lambdaN = {spec.lambdaN!r} round outside the gain inequalities"
-        )
+        raise ValueError(f"the gains of {_named(spec)} round outside the gain inequalities")
     return dsn
 
 

@@ -76,6 +76,7 @@ def test_design_invalid_band(capsys):
 
 _SPEC_200 = ["--hbar", "1e-200", "--lambda2", "1e-200", "--lambdaN", "1e-200"]
 _SPEC_150 = ["--hbar", "1e-150", "--lambda2", "1", "--lambdaN", "100"]
+_SPEC_1E8 = ["--hbar", "1e8", "--lambda2", "1", "--lambdaN", "1e8"]
 
 
 @pytest.mark.parametrize(
@@ -90,6 +91,18 @@ _SPEC_150 = ["--hbar", "1e-150", "--lambda2", "1", "--lambdaN", "100"]
         pytest.param(
             ["sweep", "--hbar-axis", "1e-150", "1e-150", "1", "--ratio-axis", "100", "100", "1"],
             "1e-150", id="sweep-1e-150",
+        ),
+        # b = c in floats: the gain region is empty, so no witness exists
+        pytest.param(["design", *_SPEC_1E8], "100000000.0", id="design-1e8"),
+        pytest.param(["certify", *_SPEC_1E8], "100000000.0", id="certify-1e8"),
+        pytest.param(
+            ["sweep", "--hbar-axis", "1e8", "1e8", "1", "--ratio-axis", "1e8", "1e8", "1"],
+            "100000000.0", id="sweep-1e8",
+        ),
+        # a = 2 (mu2 - mu1) / (hbar lambdaN (mu1 + mu2 + hbar)) overflows to inf
+        pytest.param(
+            ["design", "--hbar", "1e-310", "--lambda2", "1", "--lambdaN", "1"],
+            "1e-310", id="design-1e-310",
         ),
     ],
 )
@@ -571,6 +584,8 @@ def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
     # even with 5-level paging), so numpy fails at once without touching memory
     long_schedule = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
     long_schedule["schedule"]["steps"] = 1.0e15  # 100 runs x 1e15 intervals: 711 PiB
+    many_runs = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
+    many_runs["batch"]["runs"] = 1.0e15  # 1e15 runs x 5 agents x 2 states: 71 PiB
     (tmp_path / "huge.graph").write_text("300000000 symmetric\n", encoding="utf-8")  # 639 PiB
     huge_graph = write_yaml(tmp_path / "huge.yaml",
                             sim_config_dict(topology={"graphs": ["huge.graph"]}))
@@ -579,6 +594,7 @@ def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
     out_dir = tmp_path / "out"
     for command, path, message in (
         ("simulate", write_yaml(tmp_path / "long.yaml", long_schedule), "Unable to allocate"),
+        ("simulate", write_yaml(tmp_path / "runs.yaml", many_runs), "Unable to allocate"),
         ("certify", huge_graph, "Unable to allocate"),
         ("simulate", huge_graph, "Unable to allocate"),
         # PyYAML takes about a second to reach its recursion limit: one command only
@@ -733,11 +749,30 @@ BAD_POOLS = {
         "pool graphs disagree on node count: [2, 3]",
     ),
     "unbalanced": ({"a.graph": "2\n1 2 1.0\n"}, "pool graph 0 is not balanced"),
+    # every weight lies below 1e-12; balance must not depend on the weight scale
+    "unbalanced-scaled-down": (
+        {"a.graph": "5\n1 3 1e-13\n1 4 1e-13\n1 5 2.5e-14\n2 1 1e-13\n2 4 1e-13\n"
+                    "3 1 5e-14\n3 2 1e-13\n3 4 5e-14\n4 2 2.5e-14\n"},
+        "pool graph 0 is not balanced",
+    ),
     "single-node": (
         {"a.graph": "1\n"},
         "pool graph 0 has a single node; consensus needs at least two",
     ),
     "empty": ({}, "topology pool must not be empty"),
+}
+
+# config sections that replace sim_config_dict's for one pool
+POOL_OVERRIDES = {
+    # a design over the band of the digraph's symmetric part: if near-equal
+    # tiny weights counted as balanced, certify would print "certified" and
+    # the batch would diverge
+    "unbalanced-scaled-down": {
+        "design": {"lambda2": 1.3091521009538652e-14, "lambdaN": 3.2614921112170574e-13},
+        "sampling": {"hbar": 5.0e12},
+        "schedule": {"steps": 200},
+        "batch": {"runs": 10, "seed": 3},
+    },
 }
 
 
@@ -747,7 +782,7 @@ def test_certify_and_simulate_reject_the_same_pools(tmp_path, capsys, pool, gain
     files, message = BAD_POOLS[pool]
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    cfg = sim_config_dict(topology={"graphs": sorted(files)})
+    cfg = sim_config_dict(topology={"graphs": sorted(files)}, **POOL_OVERRIDES.get(pool, {}))
     if gain is not None:
         del cfg["design"]
         cfg["gain"] = gain

@@ -9,6 +9,7 @@ from sdconsensus.graph import (
     has_spanning_tree,
     is_balanced,
     laplacian,
+    pool_band,
     random_balanced_graph,
     reduced_laplacian,
     reduction_basis,
@@ -101,6 +102,56 @@ def test_laplacian_annihilates_ones():
 def test_is_balanced():
     assert is_balanced(pair_graph())
     assert not is_balanced(WeightedDigraph.from_edges(2, [(0, 1, 1.0)]))
+    # balance is exact symmetry: one unit in the last place breaks it
+    rng = np.random.default_rng(2)
+    w = rng.uniform(0.2, 1.0, (5, 5))
+    np.fill_diagonal(w, 0.0)
+    sym = (w + w.T) / 2.0  # float addition commutes, so this is exactly symmetric
+    assert is_balanced(WeightedDigraph(sym))
+    off = sym.copy()
+    off[0, 1] = np.nextafter(off[0, 1], 2.0)
+    assert not is_balanced(WeightedDigraph(off))
+
+
+def _seeded_digraphs():
+    """Random 3- to 8-node weight matrices: a digraph and its symmetric part."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        w = rng.uniform(0.2, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(w, 0.0)
+        yield w
+        yield np.triu(w, 1) + np.triu(w, 1).T
+
+
+def _pool_band_outcome(g):
+    try:
+        return pool_band([g])
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_graph_answers_do_not_depend_on_the_weight_scale():
+    # scaling by 2^k is exact, so a graph and its scaled copy must get the
+    # same balance and spanning-tree answers, and a band scaled by 2^k
+    outcomes = set()
+    for w in _seeded_digraphs():
+        base = WeightedDigraph(w)
+        balanced, tree = is_balanced(base), has_spanning_tree(base)
+        band = _pool_band_outcome(base)
+        outcomes.add((balanced, tree))
+        for k in range(-60, 61):
+            g = WeightedDigraph(np.ldexp(w, k))
+            assert is_balanced(g) == balanced, k
+            assert has_spanning_tree(g) == tree, k
+            got = _pool_band_outcome(g)
+            if isinstance(band[0], type):
+                assert got == band, k
+            else:
+                assert got == pytest.approx(tuple(np.ldexp(band, k)), rel=1e-12, abs=0.0), k
+    # both balance answers occur, and some balanced graph has a spanning tree
+    assert {balanced for balanced, _ in outcomes} == {True, False}
+    assert (True, True) in outcomes
 
 
 def test_spanning_tree_directed_path():
