@@ -11,14 +11,16 @@ array.  Every run first draws its whole stream (initial state, topology
 choices, sampling intervals) from its own generator, so results do not
 depend on how runs are batched.  Between two switches, a stable sort by
 topology makes the runs of each topology a contiguous group, and all runs
-fill one block of states, one kernel call per step: each step takes
-Y = X - x_0 (differences to agent 0) and, per group, the coupling
-W Y - deg Y as one matrix product; it is shift-invariant, so exact agreement
-gives an exactly zero coupling and stays exact.  ``step`` is the same kernel
-with one run.  The metrics take agent-major states (..., n, runs, s) and
-reduce over agents along their rows.  The optional cross-check applies I kron F - L kron G K as
-X F^T - (L X)(G K)^T with the dense Laplacian L, since (L kron I_s) x = L X,
-to every step of a group's block at once.
+fill one block of states, one kernel call per step.  A step takes
+Y = X - x_0 (differences to agent 0) and forms the coupling W Y - deg Y,
+one product per group and one degree pass for all runs, into reused
+buffers; it is shift-invariant, so exact agreement gives an exactly zero
+coupling and stays exact.  ``step`` is the same kernel with one run.  A
+stepped block is copied once agents first, (n, steps + 1, runs, s), so the
+metrics reduce over agents along long rows.  The optional cross-check
+applies I kron F - L kron G K as X F^T - (L X)(G K)^T with the dense
+Laplacian L, since (L kron I_s) x = L X, to every step of a group's block
+at once.
 
 Every trajectory records the disagreement metric and the transformed reduced
 norm, whose strict decrease is the certified contraction at work.  The norm
@@ -57,8 +59,11 @@ DEFAULT_INIT_BOUNDS = ((-10.0, 10.0), (-1.0, 1.0))
 # h_min defaults to hbar * H_MIN_FRACTION, here and in the resolved config
 H_MIN_FRACTION = 1e-3
 # a segment advances in blocks of at most this many state entries (8 MB) for
-# all runs at once; nu needs two more block-sized arrays, and a verified
-# block's check three more when all its runs share one topology
+# all runs at once.  Beside the block (measured with tracemalloc): stepping
+# holds its agents-first copy and three state-sized buffers, nu two
+# block-sized arrays, and a verified block's check three arrays the size of
+# its steps (2.5 blocks at 5 steps a block) when all its runs share one
+# topology, less with more groups
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -201,21 +206,65 @@ class BatchResult:
     timings: dict
 
 
-def _advance(X, groups, F, GK):
-    """One exact step of the runs ``X``, held agent-major as (n, runs, s).
+def _advance(X, out, coupling, Ft, GKt):
+    """Write one exact step of the runs ``X``, held agent-major as (n, runs, s),
+    to ``out``.
 
-    ``groups`` lists (a, b, W, deg): the runs a:b share topology W, whose row
-    sums are deg.  ``F`` and ``GK`` (runs, s, s) are each run's F(h) and
-    G(h) K.  The coupling sum_j w_ij (x_j - x_i) is formed as W Y - deg Y on
-    the differences Y to agent 0, with one matrix product per group.
+    ``coupling`` is the segment's (Y, C, D, groups) from ``_coupling``, and
+    ``Ft`` and ``GKt`` (runs, s, s) are each run's F(h)^T and (G(h) K)^T.
+    The coupling sum_j w_ij (x_j - x_i) is W Y - deg Y on the differences
+    Y = X - x_0: one product W Yg per group, then one pass over all runs with
+    the degrees D; a zero Y gives an exactly zero coupling.  The step is
+    X F^T + C (G K)^T.
     """
-    Y = X - X[:1]
-    coupling = np.empty_like(Y)
-    for a, b, W, deg in groups:
-        Yg = Y[:, a:b]
-        coupling[:, a:b] = (W @ Yg.reshape(len(W), -1)).reshape(Yg.shape) - deg[:, None, None] * Yg
-    out = X.swapaxes(0, 1) @ F.transpose(0, 2, 1) + coupling.swapaxes(0, 1) @ GK.transpose(0, 2, 1)
-    return out.swapaxes(0, 1)
+    Y, C, D, groups = coupling
+    np.subtract(X, X[:1], out=Y)
+    for W, Yg, Cg in groups:
+        np.matmul(W, Yg, out=Cg)
+    Y *= D
+    C -= Y
+    np.matmul(X.swapaxes(0, 1), Ft, out=out.swapaxes(0, 1))
+    # Y is free again and takes C (G K)^T in the agent-major order of out
+    np.matmul(C.swapaxes(0, 1), GKt, out=Y.swapaxes(0, 1))
+    out += Y
+
+
+def _coupling(graphs, degrees, slices, shape):
+    """The ``coupling`` of ``_advance`` for states of ``shape`` (n, runs, s)
+    whose runs a:b follow ``graphs[g]``, for each (g, a, b) of ``slices``.
+
+    Y and C are state-sized buffers, D holds each entry's degree (the row
+    sums ``degrees[g]`` of its graph), and groups lists (W, Yg, Cg) with Yg
+    and Cg the (n, (b - a) s) views of Y and C.
+    """
+    n = shape[0]
+    Y, C, D = np.empty(shape), np.empty(shape), np.empty(shape)
+    groups = []
+    for g, a, b in slices:
+        D[:, a:b] = degrees[g][:, None, None]
+        groups.append((graphs[g].weights, Y[:, a:b].reshape(n, -1), C[:, a:b].reshape(n, -1)))
+    return Y, C, D, groups
+
+
+def _step_block(X, coupling, F, GK) -> np.ndarray:
+    """All states of the runs ``X`` (n, runs, s) over the steps of ``F`` and
+    ``GK`` (steps, runs, s, s), agents first: (n, steps + 1, runs, s).
+
+    The steps fill a (steps + 1, n, runs, s) block, so every step reads and
+    writes contiguous states; one copy then turns it agents first, so that
+    the checks and metrics reduce over agents along long rows.
+    """
+    Ft, GKt = _transposed(F), _transposed(GK)
+    seg = np.empty((len(F) + 1,) + X.shape)
+    seg[0] = X
+    for j in range(len(F)):
+        _advance(seg[j], seg[j + 1], coupling, Ft[j], GKt[j])
+    return np.ascontiguousarray(np.moveaxis(seg, 1, 0))
+
+
+def _transposed(M) -> np.ndarray:
+    """A contiguous stack of the transposes of the stacked matrices ``M``."""
+    return np.ascontiguousarray(np.swapaxes(M, -1, -2))
 
 
 def _advance_kronecker(X, L, F, GK):
@@ -229,26 +278,52 @@ def _advance_kronecker(X, L, F, GK):
     """
     cols = np.moveaxis(X, -2, 0)
     LX = np.moveaxis((L @ cols.reshape(len(L), -1)).reshape(cols.shape), 0, -2)
-    return X @ np.swapaxes(F, -1, -2) - LX @ np.swapaxes(GK, -1, -2)
+    out = X @ _transposed(F)
+    out -= LX @ _transposed(GK)
+    return out
 
 
 def _step_form_gaps(seg, L, F, GK) -> np.ndarray:
-    """Per run, the largest gap between the block's steps and the Kronecker form."""
-    block = seg.swapaxes(1, 2)
-    return np.abs(block[1:] - _advance_kronecker(block[:-1], L, F, GK)).max(axis=(0, 2, 3))
+    """Per run, the largest gap between the steps of the agents-first block
+    ``seg`` (n, steps + 1, runs, s) and the Kronecker form."""
+    block = np.moveaxis(seg, 0, -2)
+    gaps = _advance_kronecker(block[:-1], L, F, GK)
+    gaps -= block[1:]
+    return np.abs(gaps, out=gaps).max(axis=(0, 2, 3))
 
 
 def _disagreements(X) -> np.ndarray:
-    """Largest state difference over agent pairs and components, per run."""
-    return (X.max(axis=-3) - X.min(axis=-3)).max(axis=-1)
+    """Largest state difference over agent pairs and components, per state.
+
+    ``X`` is (n, ..., s), agents first, so the max and min over agents run
+    over long contiguous rows; the s components then meet in elementwise
+    maxima.  Both are exact, so every layout gives the same bits.
+    """
+    spread = X.max(axis=0) - X.min(axis=0)
+    out = spread[..., 0]
+    for c in range(1, spread.shape[-1]):
+        out = np.maximum(out, spread[..., c])
+    return out
 
 
 def _reduced_norms(X, Tinv) -> np.ndarray:
-    """||(mbar^T kron T^-1) x|| per run, as ||(Y - mean Y) T^-T|| with Y = X - x_0."""
-    Y = X - X[..., :1, :, :]
-    Y -= Y.mean(axis=-3, keepdims=True)
-    Z = np.swapaxes(Y, -3, -2) @ Tinv.T  # (..., runs, n, s)
-    return np.sqrt(np.einsum("...ns,...ns->...", Z, Z))
+    """||(mbar^T kron T^-1) x|| per state, as ||(Y - mean Y) T^-T|| with Y = X - x_0.
+
+    ``X`` is (n, ..., s), agents first, with at least two states in the
+    middle axes: every sum over agents or components then adds one row after
+    another for every state alike, whatever the shape of the block.  T^-1
+    applies to all rows of Y at once, as T^-1 Y^T, whose component rows are
+    contiguous.
+    """
+    Y = X - X[:1]
+    Y -= Y.mean(axis=0)
+    Z = Tinv @ Y.reshape(-1, Y.shape[-1]).T
+    del Y  # one block fewer alive while the squares are summed
+    Z *= Z
+    squares = Z[0]
+    for row in Z[1:]:
+        squares = squares + row
+    return np.sqrt(squares.reshape(X.shape[:-1]).sum(axis=0))
 
 
 def _one_run(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -271,8 +346,11 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     agreement (all rows of ``state`` equal) is preserved exactly.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    W = g.weights
-    return _advance(X[:, None], [(0, 1, W, W.sum(axis=1))], F, GK)[:, 0]
+    X = X[:, None]
+    out = np.empty_like(X)
+    coupling = _coupling([g], [g.weights.sum(axis=1)], [(0, 0, 1)], X.shape)
+    _advance(X, out, coupling, _transposed(F), _transposed(GK))
+    return out[:, 0]
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -310,7 +388,9 @@ def reduced_norm(state, basis: np.ndarray, T) -> float:
     if X.ndim != 2 or X.shape[0] != basis.shape[0]:
         raise ValueError(f"state must have {basis.shape[0]} rows, got {X.shape}")
     Tinv = np.linalg.inv(np.asarray(T, dtype=float))
-    return float(_reduced_norms(X[:, None], Tinv)[0])
+    # the state twice, as a block of two: its sums over agents add in the
+    # order of every block of ``run``
+    return float(_reduced_norms(np.stack([X, X], axis=1), Tinv)[0])
 
 
 def _topology_band(topology) -> tuple[float, float]:
@@ -399,7 +479,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     nu = np.empty((runs, steps + 1))
     states = np.empty((runs, steps + 1, len(X), X.shape[2])) if config.record_states else None
     gap = np.zeros(runs)
-    kernels = [(g.weights, g.weights.sum(axis=1)) for g in pool]
+    degrees = [g.weights.sum(axis=1) for g in pool]
     laplacians = [laplacian(g) for g in pool] if config.verify_step_forms else None
     period = config.switch_period or steps
     length = max(1, min(period, _BLOCK_ENTRIES // X.size))
@@ -415,15 +495,12 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             order = np.argsort(active, kind="stable")
             edges = [0, *np.cumsum(np.bincount(active, minlength=len(pool))).tolist()]
             slices = [(g, a, b) for g, (a, b) in enumerate(zip(edges, edges[1:])) if a < b]
-            groups = [(a, b, *kernels[g]) for g, a, b in slices]
             F, G = config.plant.discretize(h[order, start:stop].T)
             GK = G @ config.K
-            # every run advances in one block (steps + 1, n, runs, s); its first
-            # row is the state at `start`, so the metrics cover k = 0 too
-            seg = np.empty((stop - start + 1,) + X.shape)
-            seg[0] = X[:, order]
-            for j in range(stop - start):
-                seg[j + 1] = _advance(seg[j], groups, F[j], GK[j])
+            # every run advances in one block; its first state is the one at
+            # `start`, so the metrics cover k = 0 too
+            seg = _step_block(X[:, order], _coupling(pool, degrees, slices, X.shape), F, GK)
+            X[:, order] = seg[:, -1]
             if laplacians is not None:
                 for g, a, b in slices:
                     gaps = _step_form_gaps(seg[:, :, a:b], laplacians[g], F[:, a:b], GK[:, a:b])
@@ -431,8 +508,8 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             delta[order, start:stop + 1] = _disagreements(seg).T
             nu[order, start:stop + 1] = _reduced_norms(seg, Tinv).T
             if states is not None:
-                states[order, start:stop + 1] = seg.transpose(2, 0, 1, 3)
-            X[:, order] = seg[-1]
+                states[order, start:stop + 1] = seg.transpose(2, 1, 0, 3)
+            del seg  # not alive while the next block is stepped
     records = [
         TrajectoryRecord(
             r, t[r], h[r], topology[r], delta[r], nu[r],

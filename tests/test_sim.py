@@ -299,15 +299,25 @@ def test_run_deterministic(example1_design):
 
 
 def test_run_agreement_is_invariant(example1_design):
+    # 8 runs over a 4-graph pool, so the segments hold several topology groups;
+    # all agents start equal, at values whose products with the weights round,
+    # so a coupling formed on the raw states would not cancel exactly
     cfg = small_config(
         design=example1_design,
-        init_bounds=((5.0, 5.0), (-0.25, -0.25)),  # degenerate: all agents equal
+        init_bounds=((1.0 / 3.0, 1.0 / 3.0), (2.0 / 3.0, 2.0 / 3.0)),
+        topology=TopologyRecipe(0.3, 6.0, pool_size=4),
         steps=40,
-        runs=2,
+        runs=8,
+        switch_period=10,
+        verify_step_forms=True,
     )
     result = run(cfg)
+    topology = np.array([rec.topology for rec in result.records])
+    assert all(len(set(topology[:, k])) > 1 for k in range(0, cfg.steps, cfg.switch_period))
     for rec in result.records:
         assert np.all(rec.delta == 0.0)
+        assert np.all(rec.nu == 0.0)
+        assert rec.step_form_gap < 1e-12
 
 
 def test_run_contraction_monotone(example1_design):
@@ -391,7 +401,12 @@ def test_run_verify_step_forms(example1_design):
 def test_run_verify_step_forms_sees_a_wrong_step(monkeypatch, example1_design):
     # the cross-check is not vacuous: an exact step off by 1e-9 shows in the gap
     exact = sim._advance
-    monkeypatch.setattr(sim, "_advance", lambda *args: exact(*args) + 1e-9)
+
+    def advance(X, out, *args):
+        exact(X, out, *args)
+        out += 1e-9
+
+    monkeypatch.setattr(sim, "_advance", advance)
     result = run(small_config(design=example1_design, verify_step_forms=True, steps=5))
     for rec in result.records:
         assert rec.step_form_gap > 1e-12
@@ -403,9 +418,10 @@ def test_run_verify_step_forms_checks_the_last_step_of_a_segment(monkeypatch, ex
     exact = sim._advance
     calls = itertools.count(1)
 
-    def advance(*args):
-        out = exact(*args)
-        return out + 1e-9 if next(calls) % 50 == 0 else out
+    def advance(X, out, *args):
+        exact(X, out, *args)
+        if next(calls) % 50 == 0:
+            out += 1e-9
 
     monkeypatch.setattr(sim, "_advance", advance)
     cfg = small_config(design=example1_design, verify_step_forms=True, steps=50, switch_period=50)
@@ -439,7 +455,7 @@ def test_run_makes_one_kernel_call_per_step(monkeypatch, example1_design, block_
 
     def advance(*args):
         next(calls)
-        return exact(*args)
+        exact(*args)
 
     monkeypatch.setattr(sim, "_advance", advance)
     cfg = small_config(design=example1_design, runs=8, steps=45, switch_period=20)
@@ -449,18 +465,49 @@ def test_run_makes_one_kernel_call_per_step(monkeypatch, example1_design, block_
     assert next(calls) == cfg.steps
 
 
-@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("n", [5, 100, pytest.param(12, id="12-scalar")])
 def test_run_metrics_equal_the_public_helpers(n, example1_design):
     # delta and nu of a run are the helpers' values on its states, bit for bit,
-    # with a switch period that does not divide the steps
-    cfg = small_config(design=example1_design, n_agents=n, steps=23, switch_period=7,
-                       record_states=True)
+    # with a switch period that does not divide the steps; with 12 scalar
+    # agents, the agent sums of one state must add as in a block of many
+    scalar = dict(
+        plant=PlantModel.general([[0.0]], [[1.0]]), gain=np.array([[0.5]]), hbar=0.5,
+        topology=TopologyRecipe(0.5, 2.0, pool_size=2), init_bounds=((-10.0, 10.0),),
+    )
+    plant_and_gain = scalar if n == 12 else dict(design=example1_design)
+    cfg = small_config(n_agents=n, steps=23, switch_period=7, record_states=True,
+                       **plant_and_gain)
     basis = reduction_basis(n)
     for rec in run(cfg).records:
-        assert rec.states.shape == (24, n, 2)
+        assert rec.states.shape == (24, n, cfg.plant.n)
         for k, x in enumerate(rec.states):
             assert rec.delta[k] == disagreement(x)
-            assert rec.nu[k] == reduced_norm(x, basis, example1_design.T)
+            assert rec.nu[k] == reduced_norm(x, basis, cfg.T)
+
+
+@pytest.mark.parametrize("n", [5, 100])
+def test_run_metrics_match_a_dense_oracle(n, example1_design):
+    # nu is ||(mbar^T kron T^-1) x|| with the Helmert basis, assembled densely,
+    # and delta the largest difference over all agent pairs and components;
+    # 8 runs over a 4-graph pool with a switch period that does not divide the
+    # steps put several topology groups in every segment; the velocities start
+    # more spread than the positions, so either component can lead delta
+    cfg = small_config(
+        design=example1_design, n_agents=n, runs=8, steps=23, switch_period=7,
+        topology=TopologyRecipe(0.3, 6.0, pool_size=4), record_states=True,
+        init_bounds=((-1.0, 1.0), (-10.0, 10.0)),
+    )
+    result = run(cfg)
+    topology = np.array([rec.topology for rec in result.records])
+    assert all(len(set(topology[:, k])) > 1 for k in range(0, cfg.steps, cfg.switch_period))
+    reduce = np.kron(reduction_basis(n).T, np.linalg.inv(example1_design.T))
+    for rec in result.records:
+        for k, x in enumerate(rec.states):
+            want_nu = np.linalg.norm(reduce @ x.reshape(-1))
+            assert abs(rec.nu[k] - want_nu) <= 1e-13 * want_nu
+            # rounding is monotone, so the largest rounded pair difference is
+            # the rounded difference of the extreme values: equal, not close
+            assert rec.delta[k] == np.abs(x[:, None, :] - x[None, :, :]).max()
 
 
 def test_run_raw_gain_single_integrator_certifies_with_identity():
