@@ -375,9 +375,11 @@ def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float
     """Largest singular value of the full transformed network step matrix.
 
     Assembles (I kron T^-1) (I kron F(h) - Lbar kron G(h) K) (I kron T)
-    explicitly.  For symmetric Lbar this equals the maximum over the
+    explicitly, for any reduced Laplacian Lbar (``graph.reduced_laplacian``)
+    of any digraph: this is the network sigma.  When Lbar is normal
+    (symmetric graphs, directed rings) it equals the maximum over the
     eigenvalues lambda_i of the per-mode value, which is what the grid
-    certifiers sample.
+    certifiers sample; otherwise it is at least that maximum.
     """
     K, T = _gain_pair(plant, gain=K, transform=T)
     lbar = np.asarray(reduced_lap, dtype=float)

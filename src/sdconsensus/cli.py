@@ -552,7 +552,11 @@ def cmd_sweep(args) -> int:
     lines = ["hbar,ratio,lambda2,lambdaN,feasible,k1,k2,K1,K2,verdict,margin"]
     for hbar in hbars:
         for ratio in ratios:
-            spec = DesignSpec(float(hbar), args.lambda2, args.lambda2 * float(ratio))
+            try:
+                spec = DesignSpec(float(hbar), args.lambda2, args.lambda2 * float(ratio))
+            except ValueError as exc:  # a design failure names the spec itself
+                raise ValueError(f"sweep cell hbar = {float(hbar)!r}, "
+                                 f"ratio = {float(ratio)!r}: {exc}") from None
             dsn = design(spec)
             mu = (dsn.mu1, dsn.mu2) if args.mu1 is None else (args.mu1, args.mu2)
             feasible = is_feasible(spec, *mu)

@@ -3,11 +3,14 @@
 Edge convention: ``weights[i, j] > 0`` means there is a link carrying agent
 j's state to agent i (j is an in-neighbor of i).  A graph is balanced here
 when its weight matrix is exactly symmetric: stricter than the paper's
-"balanced" (row sums equal column sums), as the real spectra below need,
-until balanced digraphs get a certificate of their own (see ROADMAP.md).
-No check here has a tolerance tied to the units of the weights: a graph
-scaled by a power of two gets the same balance and spanning-tree answers,
-and its spectrum scales by that power.
+"balanced" (row sums equal column sums), as the real spectra of
+``spectrum`` and ``pool_band`` need, until balanced digraphs get a
+certificate of their own (see ROADMAP.md).  ``reduced_laplacian`` is the one
+projection onto the disagreement subspace, for every digraph, and
+``consensus_eigenvalues`` is its spectrum.  No check here has a tolerance
+tied to the units of the weights: a graph scaled by a power of two gets the
+same balance and spanning-tree answers, and its spectrum scales by that
+power.
 """
 
 from __future__ import annotations
@@ -210,33 +213,24 @@ def reduction_basis(n: int) -> np.ndarray:
     return m
 
 
-def reduced_laplacian(g: WeightedDigraph, basis: np.ndarray) -> np.ndarray:
-    """Project the Laplacian onto the disagreement subspace: basis.T L basis,
-    with ``basis`` the matrix mbar of ``reduction_basis``.
+def reduced_laplacian(g: WeightedDigraph) -> np.ndarray:
+    """Project the Laplacian onto the disagreement subspace: mbar.T L mbar,
+    with mbar = ``reduction_basis(g.n)``, for any digraph with n >= 2.
 
-    For balanced graphs the result is symmetric and its eigenvalues are the
-    Laplacian eigenvalues with one zero removed.  Non-balanced graphs are
-    rejected; their reduced matrix is not symmetric and downstream consumers
-    rely on the symmetric eigenstructure.
+    Since L ones = 0, this (n-1) x (n-1) block holds the non-consensus
+    dynamics of any digraph, and its eigenvalues are the Laplacian
+    eigenvalues with one zero removed.  It is symmetric for a symmetric
+    graph and normal when L is (directed rings too).
     """
-    if not is_balanced(g):
-        raise UnsupportedGraphError("reduced_laplacian requires a balanced graph")
-    if basis.shape[0] != g.n:
-        raise ValueError(f"basis is for {basis.shape[0]} nodes, graph has {g.n}")
-    return basis.T @ laplacian(g) @ basis
+    mbar = reduction_basis(g.n)
+    return mbar.T @ laplacian(g) @ mbar
 
 
 def consensus_eigenvalues(g: WeightedDigraph) -> np.ndarray:
-    """Laplacian eigenvalues with one zero removed, for any digraph.
-
-    Computed as the eigenvalues of the projection mbar.T L mbar, which is
-    exactly the non-consensus block of the Laplacian in the [ones, mbar]
-    coordinates (the projection is similarity-exact because mbar spans the
-    complement of ones and L annihilates ones).  Complex in general; sorted
-    by (real, imag) for determinism.
-    """
-    mbar = reduction_basis(g.n)
-    ev = np.linalg.eigvals(mbar.T @ laplacian(g) @ mbar)
+    """Laplacian eigenvalues with one zero removed, for any digraph: the
+    eigenvalues of ``reduced_laplacian(g)``, complex in general, sorted by
+    (real, imag) for determinism."""
+    ev = np.linalg.eigvals(reduced_laplacian(g))
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
 

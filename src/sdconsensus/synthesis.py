@@ -10,8 +10,9 @@ decides feasibility, and picks the design (mu1, mu2, k1, k2).
 
 ``limits`` is the one evaluation of a, b, c, d; ``design`` and
 ``check_gain_inequalities`` compare against it as computed.  A spec the
-designer cannot serve (limits that underflow or admit no gains, gains that
-round outside them) gets a ValueError that names it.
+designer cannot serve (transform parameters that overflow, limits that
+underflow or admit no gains, gains that round outside them) gets a
+ValueError that names it once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Maximum sampling interval and the admissible eigenvalue band."""
+    """Maximum sampling interval and the admissible eigenvalue band, stored
+    as Python floats (so numpy scalars neither warn on overflow nor change
+    how a spec is named)."""
 
     hbar: float
     lambda2: float
@@ -50,6 +53,8 @@ class DesignSpec:
             raise ValueError("eigenvalue band must be finite")
         if not (0.0 < self.lambda2 <= self.lambdaN):
             raise ValueError("band must satisfy 0 < lambda2 <= lambdaN")
+        for name in ("hbar", "lambda2", "lambdaN"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -108,28 +113,30 @@ class GainDesign:
 
 def _check_mu(mu1: float, mu2: float) -> None:
     if not (math.isfinite(mu1) and math.isfinite(mu2) and 0.0 < mu1 < mu2):
-        raise ValueError("transform parameters must satisfy 0 < mu1 < mu2")
+        raise ValueError("transform parameters must be finite with 0 < mu1 < mu2")
 
 
-def _named(spec: DesignSpec) -> str:
-    return f"hbar = {spec.hbar!r}, lambda2 = {spec.lambda2!r}, lambdaN = {spec.lambdaN!r}"
+def _named(spec: DesignSpec, exc: ValueError) -> ValueError:
+    """``exc`` with the spec it concerns prefixed to its message."""
+    named = f"hbar = {spec.hbar!r}, lambda2 = {spec.lambda2!r}, lambdaN = {spec.lambdaN!r}"
+    return ValueError(f"{named}: {exc}")
 
 
 def limits(spec: DesignSpec, mu1: float, mu2: float) -> InequalityLimits:
     """The four inequality limits for a spec and transform parameters: the
-    one evaluation of a, b, c, d, returned as computed in floats.  A
-    denominator that underflows to zero (a spec too small for floats, such
-    as hbar = lambda2 = lambdaN = 1e-200) raises a ValueError that names the
-    spec."""
-    _check_mu(mu1, mu2)
+    one evaluation of a, b, c, d, returned as computed in floats.  Bad
+    transform parameters and a denominator that underflows to zero (a spec
+    too small for floats, such as hbar = lambda2 = lambdaN = 1e-200) raise a
+    ValueError that names the spec."""
     h, l2, lN = spec.hbar, spec.lambda2, spec.lambdaN
-    dens = (h * lN * (mu1 + mu2 + h), lN * (h + max(h, 2.0 * mu1)),
-            l2 * (mu1 + mu2), lN * (mu1 + mu2 + h))
-    if 0.0 in dens:
-        raise ValueError(
-            f"the gain limits of {_named(spec)} underflow: "
-            "the spec is too small for floating point"
-        )
+    try:
+        _check_mu(mu1, mu2)
+        dens = (h * lN * (mu1 + mu2 + h), lN * (h + max(h, 2.0 * mu1)),
+                l2 * (mu1 + mu2), lN * (mu1 + mu2 + h))
+        if 0.0 in dens:
+            raise ValueError("the gain limits underflow: the spec is too small for floating point")
+    except ValueError as exc:
+        raise _named(spec, exc) from None
     a = 2.0 * (mu2 - mu1) / dens[0]
     return InequalityLimits(a, 4.0 / dens[1], 4.0 / dens[2], 4.0 / dens[3])
 
@@ -196,9 +203,10 @@ def design(spec: DesignSpec) -> GainDesign:
     band); in that case the consistency witness supplies the gains.  The
     limits are computed once, and the design is checked against them as
     computed, never assumed.  Every failure is a ValueError that names the
-    spec: limits that underflow, limits with no witness (an inconsistent
-    region, or a limit that is not positive and finite), and gains that
-    round outside the limits.
+    spec once: an mu2 that overflows, limits that underflow (both named by
+    ``limits``), limits with no witness (an inconsistent region, or a limit
+    that is not positive and finite), and gains that round outside the
+    limits.
     """
     mu1 = spec.hbar / 2.0
     mu2 = -mu1 + 2.0 * spec.hbar * spec.lambdaN / spec.lambda2 + 1.0
@@ -206,14 +214,14 @@ def design(spec: DesignSpec) -> GainDesign:
     dk = 0.9 * lim.d
     k1 = 0.5 * (min(lim.a, lim.b - dk) + max(0.0, lim.c - dk))
     k2 = k1 + dk
-    if not _inside(lim, k1, k2):
-        try:
+    try:
+        if not _inside(lim, k1, k2):
             k1, k2 = consistency_witness(lim.a, lim.b, lim.c, lim.d)
-        except ValueError as exc:
-            raise ValueError(f"{_named(spec)}: {exc}") from None
-    dsn = GainDesign(mu1, mu2, k1, k2)
-    if not _inside(lim, dsn.k1, dsn.k2):
-        raise ValueError(f"the gains of {_named(spec)} round outside the gain inequalities")
+        dsn = GainDesign(mu1, mu2, k1, k2)
+        if not _inside(lim, dsn.k1, dsn.k2):
+            raise ValueError("the gains round outside the gain inequalities")
+    except ValueError as exc:
+        raise _named(spec, exc) from None
     return dsn
 
 

@@ -17,7 +17,6 @@ from sdconsensus.graph import (
     WeightedDigraph,
     consensus_eigenvalues,
     reduced_laplacian,
-    reduction_basis,
 )
 from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value, max_singular_values
 from sdconsensus.sim import SimulationConfig, TopologyRecipe
@@ -580,7 +579,7 @@ def test_network_contraction_matches_eigen_decomposition(di_plant, example1_desi
         w[mask | mask.T] = 1.0
         w[0, 1] = w[1, 0] = 1.0  # keep at least one edge
         g = WeightedDigraph(w)
-        lbar = reduced_laplacian(g, reduction_basis(n))
+        lbar = reduced_laplacian(g)
         h = float(rng.uniform(0.05, 3.0))
         got = network_contraction(di_plant, dsn.K, dsn.T, lbar, h)
         want = max(
@@ -588,6 +587,51 @@ def test_network_contraction_matches_eigen_decomposition(di_plant, example1_desi
             for lam in np.linalg.eigvalsh(lbar)
         )
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def per_eigenvalue_sigma(g, dsn, h):
+    return max(
+        max_singular_value(transformed_by_product(h, lam, dsn))
+        for lam in consensus_eigenvalues(g)
+    )
+
+
+@pytest.mark.parametrize("which", ["example1_design", "example2_design"])
+def test_network_contraction_of_a_directed_cycle_is_the_per_eigenvalue_maximum(
+    request, di_plant, which
+):
+    # a directed ring has a normal Laplacian, so the network sigma is the
+    # largest sigma over its complex eigenvalues
+    dsn = request.getfixturevalue(which)
+    for n in [3, 4, 6]:
+        g = WeightedDigraph.from_edges(n, [(i, (i - 1) % n, 0.8) for i in range(n)])
+        for h in [0.01, 0.3, 0.7, 1.0]:
+            got = network_contraction(di_plant, dsn.K, dsn.T, reduced_laplacian(g), h)
+            assert got == pytest.approx(per_eigenvalue_sigma(g, dsn, h), rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["example1_design", "example2_design"])
+def test_network_contraction_of_a_non_normal_balanced_digraph_bounds_each_mode(
+    request, di_plant, which
+):
+    # two weighted directed Hamiltonian cycles: balanced, not normal; the
+    # Schur form makes the network map block triangular with the per-mode
+    # maps on its diagonal, so its sigma is at least each of theirs
+    dsn = request.getfixturevalue(which)
+    rng = np.random.default_rng(29)
+    n = 7
+    for _ in range(5):
+        w = np.zeros((n, n))
+        for weight in rng.uniform(0.3, 1.5, size=2):
+            order = rng.permutation(n)
+            w[order, np.roll(order, 1)] += weight
+        g = WeightedDigraph(w)
+        lap = np.diag(w.sum(axis=1)) - w
+        np.testing.assert_allclose(lap.sum(axis=0), 0.0, atol=1e-12)
+        assert np.abs(lap @ lap.T - lap.T @ lap).max() > 1e-3
+        for h in [0.01, 0.3, 1.0]:
+            got = network_contraction(di_plant, dsn.K, dsn.T, reduced_laplacian(g), h)
+            assert got >= per_eigenvalue_sigma(g, dsn, h) - 1e-12
 
 
 def test_network_contraction_rejects_bad_shapes(di_plant, example1_design):

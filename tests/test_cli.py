@@ -104,6 +104,25 @@ _SPEC_1E8 = ["--hbar", "1e8", "--lambda2", "1", "--lambdaN", "1e8"]
             ["design", "--hbar", "1e-310", "--lambda2", "1", "--lambdaN", "1"],
             "1e-310", id="design-1e-310",
         ),
+        # mu2 = -mu1 + 2 hbar lambdaN / lambda2 + 1 overflows to inf
+        pytest.param(
+            ["design", "--hbar", "1e250", "--lambda2", "1", "--lambdaN", "1e100"],
+            "1e+250", id="design-mu2-overflow",
+        ),
+        pytest.param(
+            ["design", "--hbar", "1e300", "--lambda2", "1e-300", "--lambdaN", "1"],
+            "1e+300", id="design-mu2-overflow-ratio",
+        ),
+        pytest.param(
+            ["certify", "--hbar", "1", "--lambda2", "1", "--lambdaN", "1e308"],
+            "1.0", id="certify-mu2-overflow",
+        ),
+        # lambdaN = lambda2 * ratio overflows: the cell is named, not a spec
+        pytest.param(
+            ["sweep", "--hbar-axis", "1", "1", "1", "--ratio-axis", "1e10", "1e10", "1",
+             "--lambda2", "1e300"],
+            "1.0", id="sweep-band-overflow",
+        ),
     ],
 )
 def test_spec_too_small_for_floats_exits_usage_without_traceback(argv, hbar):
@@ -115,7 +134,7 @@ def test_spec_too_small_for_floats_exits_usage_without_traceback(argv, hbar):
     assert proc.returncode == cli.EXIT_USAGE
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: ") and f"hbar = {hbar}" in line
+    assert line.startswith("error: ") and line.count(f"hbar = {hbar}") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,18 @@ def directed_cycle(n):
     return WeightedDigraph.from_edges(n, [(i, (i - 1) % n, 1.0) for i in range(n)])
 
 
+def unbalanced_digraph(rng, n):
+    # a random directed spanning tree plus sparse extra links, random weights
+    w = np.zeros((n, n))
+    order = rng.permutation(n)
+    for idx in range(1, n):
+        w[order[idx], order[rng.integers(0, idx)]] = rng.uniform(0.5, 1.5)
+    extra = (rng.random((n, n)) < 0.15) & (w == 0.0)
+    np.fill_diagonal(extra, False)
+    w[extra] = rng.uniform(0.1, 1.0, size=int(extra.sum()))
+    return WeightedDigraph(w)
+
+
 def random_symmetric(rng, n, p):
     mask = np.triu(rng.random((n, n)) < p, 1)
     w = np.zeros((n, n))
@@ -262,23 +274,23 @@ def test_reduced_laplacian_symmetric_for_balanced():
     rng = np.random.default_rng(13)
     for _ in range(30):
         g = random_symmetric(rng, int(rng.integers(3, 9)), 0.5)
-        red = reduced_laplacian(g, reduction_basis(g.n))
+        red = reduced_laplacian(g)
         assert np.abs(red - red.T).max() < 1e-12
 
 
 def test_reduced_laplacian_pair():
-    red = reduced_laplacian(pair_graph(), reduction_basis(2))
+    red = reduced_laplacian(pair_graph())
     np.testing.assert_allclose(red, [[2.0]], atol=1e-14)
 
 
 def test_reduced_laplacian_complete_three():
-    red = reduced_laplacian(complete_graph(3), reduction_basis(3))
+    red = reduced_laplacian(complete_graph(3))
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(red)), [3.0, 3.0], atol=1e-9)
 
 
 def test_reduced_laplacian_disconnected_is_singular():
     g = WeightedDigraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], symmetric=True)
-    red = reduced_laplacian(g, reduction_basis(4))
+    red = reduced_laplacian(g)
     assert np.abs(np.linalg.eigvalsh(red)).min() < 1e-10
 
 
@@ -286,17 +298,40 @@ def test_reduced_laplacian_eigenvalue_multiset():
     rng = np.random.default_rng(17)
     for _ in range(50):
         g = random_symmetric(rng, int(rng.integers(3, 9)), 0.6)
-        red_eigs = np.sort(np.linalg.eigvalsh(reduced_laplacian(g, reduction_basis(g.n))))
+        red_eigs = np.sort(np.linalg.eigvalsh(reduced_laplacian(g)))
         full = np.sort(spectrum(g).eigenvalues)
         with_zero = np.sort(np.concatenate([[0.0], red_eigs]))
         np.testing.assert_allclose(with_zero, full, atol=1e-8)
 
 
-def test_reduced_laplacian_rejects_unbalanced():
-    with pytest.raises(UnsupportedGraphError):
-        reduced_laplacian(directed_cycle(3), reduction_basis(3))
-    with pytest.raises(ValueError, match="^basis is for 3 nodes, graph has 2$"):
-        reduced_laplacian(pair_graph(), reduction_basis(3))
+def test_reduced_laplacian_of_a_directed_cycle():
+    # a directed ring is balanced but not symmetric; its Laplacian is a
+    # circulant, so normal, and so is the block on the disagreement subspace
+    for n in [2, 3, 5, 12]:
+        g = directed_cycle(n)
+        mbar = reduction_basis(n)
+        red = reduced_laplacian(g)
+        assert red.shape == (n - 1, n - 1)
+        np.testing.assert_array_equal(red, mbar.T @ laplacian(g) @ mbar)
+        np.testing.assert_allclose(red @ red.T, red.T @ red, rtol=0.0, atol=1e-12)
+        if n > 2:
+            assert np.abs(red - red.T).max() > 0.5
+
+
+def test_consensus_eigenvalues_are_the_reduced_laplacian_spectrum():
+    # bit for bit the sorted eigenvalues of mbar.T L mbar, on symmetric
+    # graphs and on unbalanced 20-node digraphs with a spanning tree
+    rng = np.random.default_rng(23)
+    graphs = [random_symmetric(rng, int(rng.integers(2, 9)), 0.5) for _ in range(10)]
+    graphs += [unbalanced_digraph(rng, 20) for _ in range(10)]
+    for g in graphs:
+        mbar = reduction_basis(g.n)
+        product = mbar.T @ laplacian(g) @ mbar
+        np.testing.assert_array_equal(reduced_laplacian(g), product)
+        ev = np.linalg.eigvals(product)
+        np.testing.assert_array_equal(consensus_eigenvalues(g), ev[np.lexsort((ev.imag, ev.real))])
+    assert not any(is_balanced(g) for g in graphs[10:])
+    assert all(has_spanning_tree(g) for g in graphs[10:])
 
 
 def test_consensus_eigenvalues_balanced_matches_spectrum():

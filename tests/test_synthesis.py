@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,24 @@ def test_design_spec_rejects_a_non_finite_band():
     for band in [(float("nan"), 6.0), (0.3, float("inf"))]:
         with pytest.raises(ValueError, match="^eigenvalue band must be finite$"):
             DesignSpec(3.0, *band)
+
+
+def test_design_spec_stores_python_floats(example1_spec):
+    numpy_spec = DesignSpec(*map(np.float64, (3.0, 0.3, 6.0)))
+    assert all(type(v) is float for v in (numpy_spec.hbar, numpy_spec.lambda2, numpy_spec.lambdaN))
+    assert numpy_spec == example1_spec
+    got, want = design(numpy_spec), design(example1_spec)
+    assert (got.mu1, got.mu2, got.k1, got.k2) == (want.mu1, want.mu2, want.k1, want.k2)
+    np.testing.assert_array_equal(got.K, want.K)
+    # mu2 overflows: numpy scalars would warn before the ValueError
+    with pytest.raises(ValueError) as float_error:
+        design(DesignSpec(1e250, 1.0, 1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as numpy_error:
+            design(DesignSpec(np.float64(1e250), np.float64(1.0), np.float64(1e100)))
+    assert str(numpy_error.value) == str(float_error.value)
+    assert str(float_error.value).startswith("hbar = 1e+250, lambda2 = 1.0, lambdaN = 1e+100: ")
 
 
 def test_gain_design_validation():
