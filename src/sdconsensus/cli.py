@@ -8,7 +8,8 @@ so identical configs produce byte-identical files.
 
 Exit codes: 0 ok / certified, 1 refuted (or a failed convergence assertion),
 2 usage or config error, 3 inconclusive certificate, 4 refusal to simulate
-an uncertified gain without --force.
+an uncertified gain without --force, 141 (128 + SIGPIPE) when the reader of
+stdout closed it early.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,6 +45,7 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_UNCERTIFIED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports for cat or grep
 
 _VERDICT_EXIT = {
     "certified": EXIT_OK,
@@ -63,10 +66,34 @@ def _fmt(x) -> str:
 # config handling
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, except that a key given twice in one mapping is an
+    error naming the file, both lines and the key.  A key may still
+    override one that a merge key (``<<``) brings in."""
+
+    def compose_mapping_node(self, anchor):
+        # checked as composed, before any merge key is expanded
+        node = super().compose_mapping_node(anchor)
+        first_line = {}
+        for key_node, _ in node.value:
+            # the constructor refuses a key that is a list or a mapping
+            merge = key_node.tag == "tag:yaml.org,2002:merge"
+            if merge or not isinstance(key_node, yaml.ScalarNode):
+                continue
+            key, mark = self.construct_object(key_node), key_node.start_mark
+            if key in first_line:
+                raise ConfigError(
+                    f"{mark.name}, lines {first_line[key]} and {mark.line + 1}: "
+                    f"key {key!r} is given twice"
+                )
+            first_line[key] = mark.line + 1
+        return node
+
+
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_UniqueKeyLoader)
         except RecursionError:
             # yaml composes nested nodes by recursion: deep nesting is bad input
             # here, while a RecursionError anywhere else is a bug
@@ -548,6 +575,15 @@ def cmd_sweep(args) -> int:
     ratios = _axis("--ratio-axis", *args.ratio_axis)
     if (args.mu1 is None) != (args.mu2 is None):
         raise ConfigError("give both --mu1 and --mu2 or neither")
+    # checked once here, so that no cell is blamed for a flag
+    if not (math.isfinite(args.lambda2) and args.lambda2 > 0.0):
+        raise ConfigError(f"--lambda2 must be positive and finite, got {args.lambda2!r}")
+    if args.mu1 is not None and not (
+        math.isfinite(args.mu1) and math.isfinite(args.mu2) and 0.0 < args.mu1 < args.mu2
+    ):
+        raise ConfigError(
+            f"--mu1 and --mu2 must be finite with 0 < mu1 < mu2, got {args.mu1!r} and {args.mu2!r}"
+        )
     plant = PlantModel.double_integrator()
     lines = ["hbar,ratio,lambda2,lambdaN,feasible,k1,k2,K1,K2,verdict,margin"]
     for hbar in hbars:
@@ -626,15 +662,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # unusable input in any command: exit 2 with a one-line message, no traceback
-# (ConfigError, UnsupportedGraphError and GraphBandError are ValueErrors); a
-# MemoryError is a config asking for more memory than the machine has
+# (ConfigError and the graph rules' errors are ValueErrors); a MemoryError is
+# a config asking for more memory than the machine has
 _USAGE_ERRORS = (ValueError, TypeError, OSError, MemoryError, yaml.YAMLError)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone, which is no error of the input: the final
+        # flush of the interpreter goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,9 +22,6 @@ import numpy as np
 
 __all__ = [
     "WeightedDigraph",
-    "SpectrumSummary",
-    "UnsupportedGraphError",
-    "GraphBandError",
     "laplacian",
     "is_balanced",
     "has_spanning_tree",
@@ -36,19 +33,6 @@ __all__ = [
 ]
 
 _MAX_TRIES = 200  # samples random_balanced_graph draws before it gives up
-
-
-class UnsupportedGraphError(ValueError):
-    """Raised when an operation needs a balanced graph but got a general one."""
-
-
-class GraphBandError(ValueError):
-    """Raised when no sampled topology can be scaled into the requested band:
-    the band is too narrow for the graphs, which is bad input."""
-
-    def __init__(self, message: str, best_ratio: float):
-        super().__init__(message)
-        self.best_ratio = best_ratio
 
 
 @dataclass(frozen=True)
@@ -99,15 +83,6 @@ class WeightedDigraph:
         return cls(w)
 
 
-@dataclass(frozen=True)
-class SpectrumSummary:
-    """Sorted Laplacian eigenvalues with the second-smallest and largest."""
-
-    eigenvalues: np.ndarray
-    lambda2: float
-    lambdaN: float
-
-
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """In-degree Laplacian D - W; every row sums to zero."""
     w = g.weights
@@ -147,22 +122,23 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
     return any(_reaches_all(send, root) for root in range(g.n))
 
 
-def spectrum(g: WeightedDigraph) -> SpectrumSummary:
-    """Exact Laplacian spectrum of a balanced graph, sorted ascending.
+def spectrum(g: WeightedDigraph) -> np.ndarray:
+    """Exact Laplacian spectrum of a balanced graph: a read-only array,
+    sorted ascending, whose entries 1 and -1 are lambda2 and lambdaN.
 
     In exact arithmetic lambda2 is positive exactly when the graph is
     connected.  The values are eigvalsh's as computed, so a zero eigenvalue
     may come out as a rounding-sized number of either sign;
-    ``has_spanning_tree`` is the connectivity test.  Raises
-    UnsupportedGraphError for non-balanced graphs, whose spectra are complex.
+    ``has_spanning_tree`` is the connectivity test.  A non-balanced graph,
+    whose spectrum is complex, is a ValueError.
     """
     if g.n < 2:
         raise ValueError("spectrum needs at least two nodes")
     if not is_balanced(g):
-        raise UnsupportedGraphError("exact spectrum requires a balanced graph")
+        raise ValueError("exact spectrum requires a balanced graph")
     ev = np.linalg.eigvalsh(laplacian(g))
     ev.setflags(write=False)
-    return SpectrumSummary(ev, float(ev[1]), float(ev[-1]))
+    return ev
 
 
 def pool_band(pool) -> tuple[float, float]:
@@ -171,8 +147,8 @@ def pool_band(pool) -> tuple[float, float]:
     This is the eigenvalue interval a certificate must cover for the pool
     to switch freely, and the one check that it may: the pool is not
     empty, its graphs share a node count of at least two, and each is
-    balanced and has a spanning tree.  A ValueError (UnsupportedGraphError
-    when unbalanced) names the offending graph by its position in the pool.
+    balanced and has a spanning tree.  A ValueError names the offending
+    graph by its position in the pool.
     """
     pool = list(pool)
     if not pool:
@@ -185,12 +161,12 @@ def pool_band(pool) -> tuple[float, float]:
         if g.n < 2:
             raise ValueError(f"pool graph {i} has a single node; consensus needs at least two")
         if not is_balanced(g):
-            raise UnsupportedGraphError(f"pool graph {i} is not balanced")
+            raise ValueError(f"pool graph {i} is not balanced")
         if not has_spanning_tree(g):
             raise ValueError(f"pool graph {i} has no spanning tree")
-        summ = spectrum(g)
-        lows.append(summ.lambda2)
-        highs.append(summ.lambdaN)
+        ev = spectrum(g)
+        lows.append(float(ev[1]))
+        highs.append(float(ev[-1]))
     return min(lows), max(highs)
 
 
@@ -261,8 +237,8 @@ def random_balanced_graph(
     backbone plus independent extra edges) and rescales all weights by one
     factor that places [lambda2, lambdaN] inside [lambda_lo, lambda_hi].
     A sample is rejected when its spectral ratio exceeds the band's ratio;
-    after 200 rejections a GraphBandError reports the best ratio
-    seen.  Deterministic for a fixed seed.
+    after 200 rejections a ValueError reports the best ratio seen.
+    Deterministic for a fixed seed.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -273,22 +249,22 @@ def random_balanced_graph(
     best_ratio = math.inf
     for _ in range(_MAX_TRIES):
         g = WeightedDigraph(_random_connected_symmetric(rng, n, edge_prob))
-        summ = spectrum(g)
-        if summ.lambda2 <= 0.0:
+        ev = spectrum(g)
+        lambda2, lambdaN = float(ev[1]), float(ev[-1])
+        if lambda2 <= 0.0:
             continue
-        ratio = summ.lambdaN / summ.lambda2
+        ratio = lambdaN / lambda2
         best_ratio = min(best_ratio, ratio)
         if ratio > band_ratio:
             continue
         # geometric-mean placement leaves equal relative slack on both ends
-        scale = math.sqrt((lambda_lo / summ.lambda2) * (lambda_hi / summ.lambdaN))
+        scale = math.sqrt((lambda_lo / lambda2) * (lambda_hi / lambdaN))
         scaled = WeightedDigraph(scale * g.weights)
         check = spectrum(scaled)
-        if check.lambda2 >= lambda_lo and check.lambdaN <= lambda_hi:
+        if check[1] >= lambda_lo and check[-1] <= lambda_hi:
             return scaled
-    raise GraphBandError(
+    raise ValueError(
         f"no sampled topology fits the band [{lambda_lo}, {lambda_hi}] "
         f"(ratio {band_ratio:.6g}) after {_MAX_TRIES} tries; "
-        f"best spectral ratio found was {best_ratio:.6g}",
-        best_ratio,
+        f"best spectral ratio found was {best_ratio:.6g}"
     )

@@ -23,7 +23,9 @@ CONFIG_DIR = ROOT / "configs"
 
 
 def write_yaml(path, payload):
-    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    """Write a config mapping as YAML, or YAML text as given."""
+    text = payload if isinstance(payload, str) else yaml.safe_dump(payload)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -135,6 +137,30 @@ def test_spec_too_small_for_floats_exits_usage_without_traceback(argv, hbar):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and line.count(f"hbar = {hbar}") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--hbar", "3", "--lambda2", "0.3", "--lambdaN", "6"],
+        ["sweep", "--hbar-axis", "3", "3", "1", "--ratio-axis", "20", "20", "1",
+         "--lambda2", "0.3"],
+    ],
+    ids=["design", "sweep"],
+)
+def test_closed_stdout_exits_as_sigpipe_and_is_silent(argv):
+    # a reader that closed the pipe is no config error: exit 128 + SIGPIPE
+    # with nothing on stderr, not 2 with "error: [Errno 32] Broken pipe"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdconsensus.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +575,16 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     general_without_matrices = sim_config_dict(plant={"kind": "general", "A": [[0.0]]})
     both_topologies = sim_config_dict(topology={"graphs": ["g.graph"], "random": {
         "agents": 5, "lambda_band": [0.3, 6.0]}})
+    # a key given twice is an error, not an override of its first value
+    text = yaml.safe_dump(sim_config_dict())
+    lines = text.splitlines()
+    twice_top = text + "sampling: {hbar: 300}\n"
+    twice_top_field = (f"twice_top.yaml, lines {lines.index('sampling:') + 1} and "
+                       f"{len(lines) + 1}: key 'sampling' is given twice")
+    twice_nested = text.replace("design:\n", "design:\n  lambda2: 0.01\n")
+    line = lines.index("design:") + 2
+    twice_nested_field = (f"twice_nested.yaml, lines {line} and {line + 1}: "
+                          "key 'lambda2' is given twice")
     for name, cfg, field in (("unknown", unknown, ""), ("one_agent", one_agent, ""),
                              ("no_graph_fits", no_graph_fits, ""),
                              ("misspelled", misspelled, ""),
@@ -572,7 +608,9 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                              ("general_without_matrices", general_without_matrices,
                               "general plant needs A and B matrices"),
                              ("both_topologies", both_topologies,
-                              "topology needs exactly one of graphs or random")):
+                              "topology needs exactly one of graphs or random"),
+                             ("twice_top", twice_top, twice_top_field),
+                             ("twice_nested", twice_nested, twice_nested_field)):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
@@ -932,8 +970,20 @@ def test_sweep_rejects_empty_grid(capsys):
          "--ratio-axis needs finite lo and hi, got nan and 3.0"),
         (["--hbar-axis", "1", "2", "2", "--ratio-axis", "2", "nan", "2"],
          "--ratio-axis needs finite lo and hi, got 2.0 and nan"),
+        # the flags are checked once, before any cell is named or designed
+        (["--hbar-axis", "1", "1", "1", "--ratio-axis", "2", "2", "1", "--lambda2", "nan"],
+         "--lambda2 must be positive and finite, got nan"),
+        (["--hbar-axis", "1", "1", "1", "--ratio-axis", "2", "2", "1", "--lambda2", "0"],
+         "--lambda2 must be positive and finite, got 0.0"),
+        (["--hbar-axis", "1", "2", "2", "--ratio-axis", "2", "3", "2",
+          "--mu1", "0.5", "--mu2", "0.4"],
+         "--mu1 and --mu2 must be finite with 0 < mu1 < mu2, got 0.5 and 0.4"),
+        (["--hbar-axis", "1", "2", "2", "--ratio-axis", "2", "3", "2",
+          "--mu1", "0.5", "--mu2", "inf"],
+         "--mu1 and --mu2 must be finite with 0 < mu1 < mu2, got 0.5 and inf"),
     ],
-    ids=["infinite-hi", "nan-lo", "nan-hi"],
+    ids=["infinite-hi", "nan-lo", "nan-hi", "nan-lambda2", "zero-lambda2", "mu-order",
+         "infinite-mu2"],
 )
 def test_sweep_rejects_non_finite_axis_without_warnings(capsys, recwarn, axes, message):
     with warnings.catch_warnings():

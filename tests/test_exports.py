@@ -55,6 +55,9 @@ def test_package_exports_nothing_outside_module_all():
         "ReductionBasis",
         "closed_loop_matrix",
         "transformed_entries",
+        "UnsupportedGraphError",
+        "GraphBandError",
+        "SpectrumSummary",
     ],
 )
 def test_removed_study_api_is_gone(attr):

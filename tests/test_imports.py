@@ -1,11 +1,14 @@
-"""No command or library call of the package loads scipy in a fresh process.
+"""The runtime dependencies are what the package imports, and no command or
+library call of the package loads scipy in a fresh process.
 
 The pytest process itself has scipy loaded (test_numerics imports it), so
-each check runs in a new interpreter with the package on PYTHONPATH.
+each scipy check runs in a new interpreter with the package on PYTHONPATH.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,6 +17,41 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
+# the distribution that provides an imported top-level module, where the
+# two names differ
+DISTRIBUTION = {"yaml": "PyYAML"}
+
+
+def imported_distributions() -> set:
+    """The third-party distributions that the package's modules import."""
+    modules = set()
+    for path in sorted((ROOT / "src" / "sdconsensus").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    third_party = modules - set(sys.stdlib_module_names) - {"sdconsensus"}
+    return {DISTRIBUTION.get(m, m) for m in third_party}
+
+
+def requirement_names(pyproject: str, key: str) -> set:
+    """The distribution names of the list ``key = [...]`` in pyproject.toml."""
+    # a regex, not tomllib: the package supports Python 3.10
+    body = re.search(rf"^{key} = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9._-]+", req).group(0) for req in re.findall(r'"([^"]+)"', body)}
+
+
+def test_runtime_dependencies_are_the_imported_distributions():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[)", pyproject, re.M | re.S).group(1)
+    extras = re.search(
+        r"^\[project\.optional-dependencies\]$(.*?)(?=^\[)", pyproject, re.M | re.S
+    ).group(1)
+    assert requirement_names(project, "dependencies") == imported_distributions()
+    # scipy is an oracle of the tests only
+    assert "scipy" in requirement_names(extras, "test")
+    assert scipy_modules_after("import sdconsensus") == []
 
 
 def scipy_modules_after(code: str, *args: str) -> list:
