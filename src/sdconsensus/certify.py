@@ -22,9 +22,9 @@ worst_sigma >= 1, "certified" when the test passed and worst_sigma < 1,
 
 For fixed h, sigma_max(M0 - lambda M1) is the norm of an affine function of
 lambda, hence convex in lambda: over a real interval it peaks at one of the
-two ends.  Both certifiers therefore evaluate a real band only at lambda2
-and lambdaN, and the reported maximum equals that of the full (nh, nl) grid,
-whose lambda axis starts and ends at exactly those values.
+two ends.  A set of real eigenvalues, in any container, is therefore its
+band [min, max], evaluated at those two ends only: the reported maximum is
+that of the full (nh, nl) grid, whose lambda axis ends at exactly them.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
     when they fail, a sample at or above one refutes, else "inconclusive".
     """
     nh, nl = _CONFIRM_GRID
-    ends = np.array([spec.lambda2, spec.lambdaN])
+    ends = _lambda_samples((spec.lambda2, spec.lambdaN))
     worst, point = _worst_sample(PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, ends)
     passed = check_gain_inequalities(spec, dsn)
     reached = "grid sample at or above one" if worst >= 1.0 else "no grid sample reached one"
@@ -287,15 +287,20 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
     return ContractionCertificate(passed, worst, point, "exact-inequality", (nh, nl), notes=notes)
 
 
-def _real_interval(lambdas) -> tuple[float, float] | None:
-    """(lo, hi) when ``lambdas`` is a pair of real scalars, else None."""
-    if (
-        isinstance(lambdas, tuple)
-        and len(lambdas) == 2
-        and all(np.isscalar(v) and not np.iscomplexobj(np.asarray(v)) for v in lambdas)
-    ):
-        return float(lambdas[0]), float(lambdas[1])
-    return None
+def _lambda_samples(lambdas) -> np.ndarray:
+    """The lambdas a certificate evaluates for a non-empty, finite lambda set:
+    real values, in any container, give their band's ends [min, max] (they
+    carry every h row's maximum), and a set with a non-real value is kept."""
+    values = list(lambdas)
+    lam = np.asarray(values, dtype=complex)
+    if lam.size == 0:
+        raise ValueError("lambda set must not be empty")
+    finite = np.isfinite(lam)
+    if not finite.all():
+        raise ValueError(f"lambda values must be finite, got {values[int(np.argmin(finite))]}")
+    if lam.imag.any():
+        return lam
+    return np.array([lam.real.min(), lam.real.max()])
 
 
 def certify_grid(
@@ -308,15 +313,13 @@ def certify_grid(
 ) -> ContractionCertificate:
     """Sampled contraction check over (0, hbar] x a lambda set.
 
-    ``lambdas`` is either a (lo, hi) pair describing a real interval or an
-    explicit iterable of (possibly complex) eigenvalues used as-is (fixed
-    directed topologies); every value must be finite.  A real interval is
-    evaluated at its two ends only, which by convexity in lambda gives the
-    maximum of the full grid with ``grid[1]`` samples from lo to hi.
-    ``grid[1]`` is still validated (at least 2) and reported in
-    ``grid_shape``; it has no other effect.  The h axis excludes zero,
-    where the map is the identity by construction; the smallest sample is
-    hbar / grid[0].
+    ``lambdas`` is a non-empty set of finite eigenvalues.  Real values, in any
+    container, are their band [min, max]: its two ends give the maximum of
+    the full grid with ``grid[1]`` samples from min to max, so ``grid[1]``
+    is only validated (at least 2) and reported in ``grid_shape``.  A set
+    with a non-real value (fixed digraphs) is evaluated as given, with
+    ``grid_shape`` (grid[0], len(lambdas)).  The h axis excludes zero, where
+    the map is the identity; the smallest sample is hbar / grid[0].
     """
     K, T = _gain_pair(plant, gain=K, transform=T)
     if not (math.isfinite(hbar) and hbar > 0.0):
@@ -324,20 +327,11 @@ def certify_grid(
     nh, nl = grid
     if nh < 1:
         raise ValueError("grid needs at least one h sample")
-    interval = _real_interval(lambdas)
-    if interval is not None:
-        if nl < 2:
-            raise ValueError("interval lambda sets need at least 2 samples")
-        values, lam_samples = interval, np.array(interval)
-    else:
-        values = list(lambdas)
-        lam_samples = np.asarray(values, dtype=complex)
-        if lam_samples.size == 0:
-            raise ValueError("lambda set must not be empty")
+    lam_samples = _lambda_samples(lambdas)
+    if np.iscomplexobj(lam_samples):
         nl = len(lam_samples)
-    finite = np.isfinite(lam_samples)
-    if not finite.all():
-        raise ValueError(f"lambda values must be finite, got {values[int(np.argmin(finite))]}")
+    elif nl < 2:
+        raise ValueError("a real lambda band needs at least 2 samples")
     worst, point = _worst_sample(plant, K, T, hbar, nh, lam_samples)
     passed = worst <= 1.0 - _GUARD
     return ContractionCertificate(passed, worst, point, "grid-sample", (nh, nl), _GUARD)
@@ -358,16 +352,17 @@ def certify_gain(
     raw ``gain`` K with an optional ``transform`` T (the identity when None):
     ``_gain_pair``, the rule ``SimulationConfig`` uses too.  A design is a
     double-integrator design, and a ValueError refuses it for any other
-    plant.  A design over a real band given as a tuple (lo, hi) gets the
-    exact certificate, which covers every (h, lambda) in (0, hbar] x [lo, hi].
-    Everything else gets the 200x200 grid certificate of K under T; a list
-    [lo, hi] is two explicit eigenvalues, not a band.  A gain, its plant, hbar
-    and lambda set therefore have one certificate, whoever asks.
+    plant.  A design over real lambdas, in any container, gets the exact
+    certificate, which covers every (h, lambda) in (0, hbar] x [min, max].
+    A raw gain, or a set with a non-real value, gets the 200x200 grid
+    certificate of K under T.  A gain, its plant, hbar and lambda set
+    therefore have one certificate, whoever asks.
     """
     K, T = _gain_pair(plant, design=design, gain=gain, transform=transform)
-    interval = _real_interval(lambdas)
-    if design is not None and interval is not None:
-        return certify_double_integrator(DesignSpec(hbar, *interval), design)
+    if design is not None:
+        lam = _lambda_samples(lambdas)
+        if not np.iscomplexobj(lam):
+            return certify_double_integrator(DesignSpec(hbar, *lam.tolist()), design)
     return certify_grid(plant, K, T, hbar, lambdas)
 
 
@@ -378,8 +373,8 @@ def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float
     explicitly, for any reduced Laplacian Lbar (``graph.reduced_laplacian``)
     of any digraph: this is the network sigma.  When Lbar is normal
     (symmetric graphs, directed rings) it equals the maximum over the
-    eigenvalues lambda_i of the per-mode value, which is what the grid
-    certifiers sample; otherwise it is at least that maximum.
+    eigenvalues lambda_i of the per-mode value, which the certificates bound
+    (real eigenvalues through their band); otherwise it is at least that.
     """
     K, T = _gain_pair(plant, gain=K, transform=T)
     lbar = np.asarray(reduced_lap, dtype=float)

@@ -107,8 +107,20 @@ _REQUIRED = object()  # a missing field is an error
 _OMITTED = object()  # a missing field stays out of the resolved config
 
 
+def _real(value) -> float:
+    # YAML reads yes, on and true as True, which float() takes as 1.0; text
+    # that float() parses stays a number (YAML reads 1e-3 as text)
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _matrix(rows) -> list:
-    return [[float(v) for v in row] for row in rows]
+    # ragged rows would reach numpy, whose message names no field
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1):
+        raise ConfigError(f"expected a list of rows of equal length, got {rows!r}")
+    return [[_real(v) for v in row] for row in rows]
 
 
 def _whole(value) -> int:
@@ -165,22 +177,22 @@ _SCHEMA = {
         "A": (_matrix, _OMITTED),
         "B": (_matrix, _OMITTED),
     }, {}),
-    "design": ({"lambda2": (float, _REQUIRED), "lambdaN": (float, _REQUIRED)}, None),
+    "design": ({"lambda2": (_real, _REQUIRED), "lambdaN": (_real, _REQUIRED)}, None),
     "gain": ({"K": (_matrix, _REQUIRED), "T": (_matrix, None)}, None),
     "topology": ({
         "graphs": (_list(_text), _OMITTED),
         "random": ({
             "agents": (_whole, _REQUIRED),
-            "lambda_band": (_pair(float), _REQUIRED),
+            "lambda_band": (_pair(_real), _REQUIRED),
             "pool_size": (_whole, TopologyRecipe.pool_size),
             "seed": (_whole, None),
-            "edge_prob": (float, TopologyRecipe.edge_prob),
+            "edge_prob": (_real, TopologyRecipe.edge_prob),
         }, _OMITTED),
     }, None),
-    "sampling": ({"hbar": (float, _REQUIRED), "h_min": (float, _OMITTED)}, {}),
+    "sampling": ({"hbar": (_real, _REQUIRED), "h_min": (_real, _OMITTED)}, {}),
     "schedule": ({"steps": (_whole, 1000), "switch_period": (_whole, None)}, {}),
     "batch": ({"runs": (_whole, 100), "seed": (_whole, 0)}, {}),
-    "init": ({"bounds": (_list(_pair(float)), [list(b) for b in DEFAULT_INIT_BOUNDS])}, {}),
+    "init": ({"bounds": (_list(_pair(_real)), [list(b) for b in DEFAULT_INIT_BOUNDS])}, {}),
     "output": ({"dir": (_text, "out"), "full_state": (_flag, False)}, {}),
     "certify": ({"mode": (_choice("band", "fixed"), "band")}, {}),
 }
@@ -556,7 +568,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _axis(name: str, lo: float, hi: float, n: float) -> np.ndarray:
+def _axis(
+    name: str, lo: float, hi: float, n: float, bound: float = -math.inf, strict: bool = False
+) -> np.ndarray:
+    """N points from LO to HI.  LO must not lie below ``bound``, nor at it
+    when ``strict``: such a flag would fail every cell."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"{name} needs finite lo and hi, got {lo!r} and {hi!r}")
     if n % 1:
@@ -565,14 +581,16 @@ def _axis(name: str, lo: float, hi: float, n: float) -> np.ndarray:
         raise ConfigError(
             f"{name} needs lo <= hi and 1 to 1000000 points, got {lo!r}, {hi!r}, {n!r}"
         )
+    if lo < bound or (strict and lo == bound):
+        raise ConfigError(f"{name} needs LO {'>' if strict else '>='} {bound:g}, got {lo!r}")
     if lo == hi:
         return np.array([lo])
     return np.linspace(lo, hi, int(n))
 
 
 def cmd_sweep(args) -> int:
-    hbars = _axis("--hbar-axis", *args.hbar_axis)
-    ratios = _axis("--ratio-axis", *args.ratio_axis)
+    hbars = _axis("--hbar-axis", *args.hbar_axis, bound=0.0, strict=True)
+    ratios = _axis("--ratio-axis", *args.ratio_axis, bound=1.0, strict=False)
     if (args.mu1 is None) != (args.mu2 is None):
         raise ConfigError("give both --mu1 and --mu2 or neither")
     # checked once here, so that no cell is blamed for a flag

@@ -205,10 +205,12 @@ def reduced_laplacian(g: WeightedDigraph) -> np.ndarray:
 def consensus_eigenvalues(g: WeightedDigraph) -> np.ndarray:
     """Laplacian eigenvalues with one zero removed, for any digraph: the
     eigenvalues of ``reduced_laplacian(g)``, complex in general, sorted by
-    (real, imag) for determinism."""
+    (real, imag) for determinism.  A balanced (symmetric) graph's are real:
+    eigvals can leave rounding-sized imaginary parts on repeated eigenvalues
+    (a complete graph on 19 nodes, for one), and those are dropped."""
     ev = np.linalg.eigvals(reduced_laplacian(g))
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+    ev = ev[np.lexsort((ev.imag, ev.real))]
+    return ev.real if is_balanced(g) else ev
 
 
 def _random_connected_symmetric(rng: np.random.Generator, n: int, edge_prob: float) -> np.ndarray:

@@ -308,12 +308,16 @@ def test_certify_grid_example2(di_plant, example2_design):
 
 
 def test_certify_grid_degenerate_single_point(di_plant, example1_design):
+    # one real value is the one-point band [0.3, 0.3], so grid[1] >= 2 holds
     dsn = example1_design
-    cert = certify_grid(di_plant, dsn.K, dsn.T, 3.0, [0.3], grid=(1, 1))
+    with pytest.raises(ValueError, match="^a real lambda band needs at least 2 samples$"):
+        certify_grid(di_plant, dsn.K, dsn.T, 3.0, [0.3], grid=(1, 1))
+    cert = certify_grid(di_plant, dsn.K, dsn.T, 3.0, [0.3], grid=(1, 2))
     S = closed_loop_matrix(di_plant, dsn.K, 0.3, 3.0)
     expected = max_singular_value(np.linalg.inv(dsn.T) @ S @ dsn.T)
     assert cert.worst_sigma == pytest.approx(expected, rel=1e-12)
     assert cert.worst_point == (3.0, 0.3 + 0.0j)
+    assert cert.grid_shape == (1, 2)
 
 
 def test_certify_grid_complex_lambdas_match_real_embedding(di_plant, example1_design):
@@ -437,14 +441,13 @@ def test_certify_gain_picks_the_certificate_by_gain_and_band(di_plant, example1_
     dsn, band = example1_design, (0.3, 6.0)
     exact = certify_gain(di_plant, 3.0, band, design=dsn)
     assert exact == certify_double_integrator(DesignSpec(3.0, *band), dsn)
-    # the design's (K, T) as a raw gain, and a band given as a list (two
-    # explicit eigenvalues), both get the grid certificate of K under T
+    # a band given as a list is the same real set: the exact certificate
+    listed = certify_gain(di_plant, 3.0, list(band), design=dsn)
+    assert listed == exact and listed.method == "exact-inequality"
+    # the design's (K, T) as a raw gain gets the grid certificate of K under T
     raw = certify_gain(di_plant, 3.0, band, gain=dsn.K, transform=dsn.T)
     assert raw == certify_grid(di_plant, dsn.K, dsn.T, 3.0, band)
     assert raw.grid_shape == (200, 200)
-    listed = certify_gain(di_plant, 3.0, list(band), design=dsn)
-    assert listed == certify_grid(di_plant, dsn.K, dsn.T, 3.0, list(band))
-    assert (listed.method, listed.grid_shape) == ("grid-sample", (200, 2))
     # a raw gain without a transform is certified under the identity
     bare = certify_gain(di_plant, 3.0, band, gain=dsn.K)
     assert bare == certify_grid(di_plant, dsn.K, np.eye(2), 3.0, band)
@@ -477,6 +480,65 @@ def test_real_band_ends_match_full_grid():
     worst, point, shape = full_grid_worst(plant, K, np.eye(3), 0.2, (50, 40), (1.0, 3.0))
     cert = certify_grid(plant, K, None, 0.2, (1.0, 3.0), grid=(50, 40))
     assert_matches_full_grid(cert, worst, point, shape, grid_verdict(worst))
+
+
+def real_sets(rng, lo, hi):
+    """The real set {lo, hi} plus interior values in several containers:
+    tuple, list, array (shuffled, with a repeated value), and the one-point
+    set {lo}, whose band is (lo, lo)."""
+    inner = list(rng.uniform(lo, hi, size=3))
+    values = [hi, *inner, lo, inner[0]]
+    rng.shuffle(values)
+    return [
+        ((lo, hi), [lo, hi]),
+        ((lo, hi), (hi, lo)),
+        ((lo, hi), tuple(values)),
+        ((lo, hi), np.array(values)),
+        ((lo, hi), np.array(values, dtype=complex)),
+        ((lo, lo), [lo]),
+        ((lo, lo), np.full(3, lo)),
+    ]
+
+
+def test_a_real_set_in_any_container_is_its_band(di_plant):
+    # convexity in lambda: a real set's certificate is its band's, whatever
+    # holds the values
+    rng = np.random.default_rng(20261019)
+    for _ in range(6):
+        spec = random_spec(rng)
+        dsn = design(spec)
+        for K in (dsn.K, dsn.K * rng.uniform(0.3, 4.0)):
+            for band, values in real_sets(rng, spec.lambda2, spec.lambdaN):
+                want = certify_grid(di_plant, K, dsn.T, spec.hbar, band, grid=(64, 8))
+                got = certify_grid(di_plant, K, dsn.T, spec.hbar, values, grid=(64, 8))
+                assert got == want and got.grid_shape == (64, 8)
+
+
+def test_a_design_over_any_real_set_gets_the_exact_certificate(di_plant):
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        spec = random_spec(rng)
+        dsn = design(spec)
+        for band, values in real_sets(rng, spec.lambda2, spec.lambdaN):
+            exact = certify_double_integrator(DesignSpec(spec.hbar, *band), dsn)
+            assert certify_gain(di_plant, spec.hbar, values, design=dsn) == exact
+            assert exact.method == "exact-inequality"
+
+
+def test_a_complex_set_keeps_its_grid_certificate(di_plant, example1_design):
+    # a directed ring's eigenvalues are evaluated as given, by the design too
+    dsn = example1_design
+    g = WeightedDigraph.from_edges(5, [(i, (i - 1) % 5, 1.0) for i in range(5)])
+    lambdas = consensus_eigenvalues(g)
+    assert np.abs(lambdas.imag).max() > 0.1
+    for values in (lambdas, list(lambdas), tuple(lambdas[::-1])):
+        worst, point, shape = full_grid_worst(di_plant, dsn.K, dsn.T, 3.0, (30, 1), list(values))
+        cert = certify_grid(di_plant, dsn.K, dsn.T, 3.0, values, grid=(30, 1))
+        assert_matches_full_grid(cert, worst, point, shape, grid_verdict(worst))
+        assert shape == (30, 4)
+        by_design = certify_gain(di_plant, 3.0, values, design=dsn)
+        assert by_design == certify_grid(di_plant, dsn.K, dsn.T, 3.0, values)
+        assert (by_design.method, by_design.grid_shape) == ("grid-sample", (200, 4))
 
 
 @pytest.mark.parametrize("cap", [3, 12])

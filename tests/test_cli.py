@@ -246,6 +246,38 @@ def test_certify_fixed_mode_balanced_graph(tmp_path, capsys):
     assert rc == cli.EXIT_OK  # lambda = 2 sits inside the designed band
 
 
+@pytest.mark.parametrize("gain", ["design", "raw"])
+def test_certify_fixed_mode_on_a_symmetric_graph_is_band_mode(tmp_path, capsys, gain):
+    # a symmetric graph's eigenvalues are real: fixed mode certifies their
+    # band, as band mode does (the two eigen-solvers differ in the last bits).
+    # The complete graph's repeated eigenvalue 4.75 is one that eigvals
+    # returns with rounding-sized imaginary parts.
+    (tmp_path / "ring.graph").write_text(
+        "5 symmetric\n1 2 1.0\n2 3 0.5\n3 4 1.2\n4 5 0.7\n1 5 0.3\n", encoding="utf-8"
+    )
+    links = [f"{i} {j} 0.25" for i in range(1, 20) for j in range(i + 1, 20)]
+    (tmp_path / "complete.graph").write_text("\n".join(["19 symmetric", *links]) + "\n",
+                                             encoding="utf-8")
+    for graph in ("ring.graph", "complete.graph"):
+        cfg = sim_config_dict(topology={"graphs": [graph]})
+        if gain == "raw":
+            del cfg["design"]
+            cfg["gain"] = RAW_GAIN
+        reports = {}
+        for mode in ("band", "fixed"):
+            cfg["certify"] = {"mode": mode}
+            path = write_yaml(tmp_path / f"{mode}.yaml", cfg)
+            reports[mode] = tmp_path / f"{mode}.json"
+            rc = cli.main(["certify", "--config", path, "--report", str(reports[mode])])
+            assert rc == cli.EXIT_OK, (graph, mode)
+        band, fixed = (json.loads(reports[m].read_text()) for m in ("band", "fixed"))
+        for key in ("verdict", "method", "grid_shape", "worst_h"):
+            assert fixed[key] == band[key], (graph, key)
+        assert fixed["worst_lambda"][1] == 0.0
+        assert fixed["worst_lambda"][0] == pytest.approx(band["worst_lambda"][0], rel=1e-12)
+        assert band["method"] == ("exact-inequality" if gain == "design" else "grid-sample")
+
+
 def test_certify_huge_gain_is_refuted_with_a_finite_sigma(tmp_path, capsys):
     # 1e160 entries overflow the 2x2 closed form; LAPACK's sigma refutes
     cfg = sim_config_dict()
@@ -575,6 +607,19 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
     general_without_matrices = sim_config_dict(plant={"kind": "general", "A": [[0.0]]})
     both_topologies = sim_config_dict(topology={"graphs": ["g.graph"], "random": {
         "agents": 5, "lambda_band": [0.3, 6.0]}})
+    # a YAML boolean (yes, on, true) is not a number, and a ragged matrix
+    # names its field instead of numpy's shape error
+    def raw_gain(K):
+        return {k: v for k, v in sim_config_dict(gain={"K": K}).items() if k != "design"}
+
+    boolean_hbar = yaml.safe_dump(sim_config_dict()).replace("hbar: 3.0", "hbar: yes")
+    boolean_band = sim_config_dict(topology={"random": {"agents": 5, "lambda_band": [True, 6]}})
+    boolean_gain = raw_gain([[True, 0.1]])
+    boolean_bounds = sim_config_dict(init={"bounds": [[False, 1], [0, 1]]})
+    ragged_plant = sim_config_dict(
+        plant={"kind": "general", "A": [[0, 1], [0]], "B": [[0], [1]]}
+    )
+    ragged_gain = raw_gain([[0.1, 0.2], [0.3]])
     # a key given twice is an error, not an override of its first value
     text = yaml.safe_dump(sim_config_dict())
     lines = text.splitlines()
@@ -610,7 +655,19 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                              ("both_topologies", both_topologies,
                               "topology needs exactly one of graphs or random"),
                              ("twice_top", twice_top, twice_top_field),
-                             ("twice_nested", twice_nested, twice_nested_field)):
+                             ("twice_nested", twice_nested, twice_nested_field),
+                             ("boolean_hbar", boolean_hbar,
+                              "sampling.hbar: expected a number, got True"),
+                             ("boolean_band", boolean_band,
+                              "topology.random.lambda_band: expected a number, got True"),
+                             ("boolean_gain", boolean_gain,
+                              "gain.K: expected a number, got True"),
+                             ("boolean_bounds", boolean_bounds,
+                              "init.bounds: expected a number, got False"),
+                             ("ragged_plant", ragged_plant,
+                              "plant.A: expected a list of rows of equal length"),
+                             ("ragged_gain", ragged_gain,
+                              "gain.K: expected a list of rows of equal length")):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
@@ -618,6 +675,11 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
         assert err.startswith("error: "), name
         assert field in err, (name, err)
         assert not (tmp_path / name).exists(), name
+    # text that float() parses is still a number: YAML reads 1e-3 as text
+    h_min = yaml.safe_load("sampling: {hbar: 3, h_min: 1e-3}")
+    assert h_min["sampling"]["h_min"] == "1e-3"
+    resolved = cli.resolve_config({**sim_config_dict(), **h_min})
+    assert resolved["sampling"]["h_min"] == 0.001
     # the removed certify fields are unknown keys to both commands, which
     # write no report and no output directory
     report, out_dir = tmp_path / "report.json", tmp_path / "out"
@@ -981,9 +1043,18 @@ def test_sweep_rejects_empty_grid(capsys):
         (["--hbar-axis", "1", "2", "2", "--ratio-axis", "2", "3", "2",
           "--mu1", "0.5", "--mu2", "inf"],
          "--mu1 and --mu2 must be finite with 0 < mu1 < mu2, got 0.5 and inf"),
+        # every cell below an axis's lower bound would fail: the flag is named
+        (["--hbar-axis", "0", "2", "3", "--ratio-axis", "1", "2", "2"],
+         "--hbar-axis needs LO > 0, got 0.0"),
+        (["--hbar-axis", "-2", "2", "3", "--ratio-axis", "1", "2", "2"],
+         "--hbar-axis needs LO > 0, got -2.0"),
+        (["--hbar-axis", "1", "2", "2", "--ratio-axis", "0.5", "2", "2"],
+         "--ratio-axis needs LO >= 1, got 0.5"),
+        (["--hbar-axis", "1", "2", "2", "--ratio-axis", "0", "0", "1"],
+         "--ratio-axis needs LO >= 1, got 0.0"),
     ],
     ids=["infinite-hi", "nan-lo", "nan-hi", "nan-lambda2", "zero-lambda2", "mu-order",
-         "infinite-mu2"],
+         "infinite-mu2", "zero-hbar", "negative-hbar", "ratio-below-one", "zero-ratio"],
 )
 def test_sweep_rejects_non_finite_axis_without_warnings(capsys, recwarn, axes, message):
     with warnings.catch_warnings():

@@ -149,3 +149,60 @@ def test_version_has_one_value_and_the_module_entry_point_prints_it():
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{sdconsensus.__version__}\n", "")
+
+
+def resolve(path: str):
+    """The object a dotted path names: the longest importable module prefix,
+    then attributes."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            owner = getattr(owner, attr)
+        return owner
+    raise ImportError(path)
+
+
+def dotted(node) -> list | None:
+    """[name, attr, ...] of an attribute chain on a plain name, else None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.insert(0, node.attr)
+        node = node.value
+    return [node.id, *chain] if isinstance(node, ast.Name) else None
+
+
+def test_the_names_the_bench_resolves_exist():
+    # the bench looks package names up at run time: a rename fails here, not
+    # only when the benchmark runs
+    checked = set()
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name: f"sdconsensus.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "sdconsensus"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            chain = dotted(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in modules:
+                name = ".".join([modules[chain[0]], *chain[1:]])
+                try:
+                    resolve(name)
+                except (AttributeError, ImportError):
+                    pytest.fail(f"{path.relative_to(ROOT)}:{node.lineno}: {name} does not exist")
+                checked.add(name)
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value) for node in tracing.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+    ]
+    for _, owner, function in traced:
+        assert callable(getattr(resolve(owner), function, None)), (owner, function)
+    # the walk saw the attributes of each module the bench imports
+    for module in ("certify", "sim", "graph", "synthesis", "cli"):
+        assert any(name.startswith(f"sdconsensus.{module}.") for name in checked), module

@@ -344,6 +344,19 @@ def test_consensus_eigenvalues_balanced_matches_spectrum():
         np.testing.assert_allclose(got, spectrum(g)[1:], atol=1e-9)
 
 
+def test_consensus_eigenvalues_of_a_symmetric_graph_are_real():
+    # repeated eigenvalues: eigvals of the reduced Laplacian can leave
+    # imaginary parts near 1e-16 on these, which a symmetric graph cannot have
+    star = np.zeros((24, 24))
+    star[0, 1:] = star[1:, 0] = 1.0
+    for g in (complete_graph(19), WeightedDigraph(star), complete_graph(25)):
+        got = consensus_eigenvalues(g)
+        assert got.dtype == np.float64
+        ev = np.linalg.eigvals(reduced_laplacian(g))
+        np.testing.assert_array_equal(got, ev[np.lexsort((ev.imag, ev.real))].real)
+        np.testing.assert_allclose(got, spectrum(g)[1:], rtol=1e-13)
+
+
 def test_consensus_eigenvalues_directed_cycle():
     n = 5
     # oracle: circulant eigenvalues 1 - exp(2 pi i k / n), k = 1..n-1
