@@ -21,10 +21,15 @@ worst_sigma >= 1, "certified" when the test passed and worst_sigma < 1,
   the explicit inconclusive verdict between the guard and one.
 
 For fixed h, sigma_max(M0 - lambda M1) is the norm of an affine function of
-lambda, hence convex in lambda: over a real interval it peaks at one of the
-two ends.  A set of real eigenvalues, in any container, is therefore its
-band [min, max], evaluated at those two ends only: the reported maximum is
-that of the full (nh, nl) grid, whose lambda axis ends at exactly them.
+lambda, hence convex in lambda over the whole complex plane: over a finite
+set it peaks at a vertex of the set's convex hull.  A set of real
+eigenvalues, in any container, is therefore its band [min, max], evaluated
+at those two ends only: the reported maximum is that of the full (nh, nl)
+grid, whose lambda axis ends at exactly them.  A set with a non-real value
+(a fixed digraph's) is folded onto Im lambda >= 0, which is exact: F, G, K
+and T are real, so M(conj lambda) = conj M(lambda) has the same sigma.  It
+is evaluated at the members on the upper convex hull of its fold only, and
+its report, grid_shape (nh, len(set)) included, is that of every member.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ _GUARD = 1e-6
 # matrices per stacked singular value call: bounds the memory of a grid with
 # many explicit eigenvalues
 _STACK_CAP = 2**16
+# Shewchuk's relative bound on the rounding error of a 2-D orientation
+# (Discrete Comput. Geom. 18, 1997), and a few subnormal units for underflow
+_ORIENT_ERR, _ORIENT_TINY = (3.0 + 16.0 * 2.0**-53) * 2.0**-53, 2.0**-1070
 
 
 @dataclass(frozen=True)
@@ -288,9 +296,10 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
 
 
 def _lambda_samples(lambdas) -> np.ndarray:
-    """The lambdas a certificate evaluates for a non-empty, finite lambda set:
+    """The lambdas a certificate reads for a non-empty, finite lambda set:
     real values, in any container, give their band's ends [min, max] (they
-    carry every h row's maximum), and a set with a non-real value is kept."""
+    carry every h row's maximum), and a set with a non-real value is kept
+    whole (``certify_grid`` evaluates its ``_fold_hull`` members)."""
     values = list(lambdas)
     lam = np.asarray(values, dtype=complex)
     if lam.size == 0:
@@ -301,6 +310,32 @@ def _lambda_samples(lambdas) -> np.ndarray:
     if lam.imag.any():
         return lam
     return np.array([lam.real.min(), lam.real.max()])
+
+
+def _fold_hull(lam: np.ndarray) -> np.ndarray:
+    """Mask of the members of the complex set ``lam`` that carry every h row's
+    maximum: the first member of each point on the upper convex hull of the
+    fold (Re lambda, |Im lambda|), by Andrew's monotone chain, and member 0.
+    A point is dropped only on an orientation beyond its rounding error
+    bound (ties, nans, overflows and underflows keep it), so every vertex
+    stays; member 0 stays because on a row where sigma is flat (a zero gain)
+    the full grid reports it."""
+    x, y = lam.real, np.abs(lam.imag)
+    order = np.lexsort((y, x))  # stable: equal folds keep their input order
+    chain = []
+    for k, px, py in zip(order.tolist(), x[order].tolist(), y[order].tolist()):
+        if chain and (px, py) == chain[-1][1:]:
+            continue  # a later member of the point just added
+        while len(chain) > 1:
+            (_, ox, oy), (_, ax, ay) = chain[-2:]
+            left, right = (ox - px) * (ay - py), (oy - py) * (ax - px)
+            if not left - right > _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_TINY:
+                break
+            chain.pop()  # a turns left: it lies below the chord from o to p
+        chain.append((k, px, py))
+    keep = np.zeros(len(lam), dtype=bool)
+    keep[[0] + [k for k, _, _ in chain]] = True
+    return keep
 
 
 def certify_grid(
@@ -317,9 +352,12 @@ def certify_grid(
     container, are their band [min, max]: its two ends give the maximum of
     the full grid with ``grid[1]`` samples from min to max, so ``grid[1]``
     is only validated (at least 2) and reported in ``grid_shape``.  A set
-    with a non-real value (fixed digraphs) is evaluated as given, with
-    ``grid_shape`` (grid[0], len(lambdas)).  The h axis excludes zero, where
-    the map is the identity; the smallest sample is hbar / grid[0].
+    with a non-real value (fixed digraphs) is certified over every member,
+    with ``grid_shape`` (grid[0], len(lambdas)); by convexity over C and
+    the conjugate fold, only the members that ``_fold_hull`` keeps are
+    evaluated, and the worst sigma and point are the full grid's (the first
+    in row-major order on ties).  The h axis excludes zero, where the map is
+    the identity; the smallest sample is hbar / grid[0].
     """
     K, T = _gain_pair(plant, gain=K, transform=T)
     if not (math.isfinite(hbar) and hbar > 0.0):
@@ -330,6 +368,7 @@ def certify_grid(
     lam_samples = _lambda_samples(lambdas)
     if np.iscomplexobj(lam_samples):
         nl = len(lam_samples)
+        lam_samples = lam_samples[_fold_hull(lam_samples)]
     elif nl < 2:
         raise ValueError("a real lambda band needs at least 2 samples")
     worst, point = _worst_sample(plant, K, T, hbar, nh, lam_samples)

@@ -206,11 +206,13 @@ def consensus_eigenvalues(g: WeightedDigraph) -> np.ndarray:
     """Laplacian eigenvalues with one zero removed, for any digraph: the
     eigenvalues of ``reduced_laplacian(g)``, complex in general, sorted by
     (real, imag) for determinism.  A balanced (symmetric) graph's are real:
-    eigvals can leave rounding-sized imaginary parts on repeated eigenvalues
-    (a complete graph on 19 nodes, for one), and those are dropped."""
+    they are ``spectrum(g)[1:]``, so their ends are the band ``pool_band``
+    reads, bit for bit, and they carry none of the rounding-sized imaginary
+    parts that eigvals leaves on repeated eigenvalues."""
+    if is_balanced(g):
+        return spectrum(g)[1:]
     ev = np.linalg.eigvals(reduced_laplacian(g))
-    ev = ev[np.lexsort((ev.imag, ev.real))]
-    return ev.real if is_balanced(g) else ev
+    return ev[np.lexsort((ev.imag, ev.real))]
 
 
 def _random_connected_symmetric(rng: np.random.Generator, n: int, edge_prob: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from sdconsensus.graph import (
 from sdconsensus.numerics import gershgorin_sv_bound, max_singular_value, max_singular_values
 from sdconsensus.sim import SimulationConfig, TopologyRecipe
 from sdconsensus.synthesis import DesignSpec, GainDesign, check_gain_inequalities, design, limits
+from test_graph import unbalanced_digraph
 from test_synthesis import random_spec
 
 
@@ -553,6 +554,73 @@ def test_chunked_eigenvalue_grid_matches_row_loop(monkeypatch, di_plant, example
     worst, point, shape = full_grid_worst(di_plant, dsn.K, dsn.T, 3.0, (25, 1), lambdas)
     cert = certify_grid(di_plant, dsn.K, dsn.T, 3.0, lambdas, grid=(25, 1))
     assert_matches_full_grid(cert, worst, point, shape, grid_verdict(worst))
+
+
+def full_set_report(plant, K, T, hbar, nh, lambdas) -> str:
+    """Oracle for a complex set's grid report: ``_worst_sample`` at every
+    value of the set, as JSON so that signed zeros count."""
+    K = np.asarray(K, dtype=float)
+    T = np.eye(plant.n) if T is None else np.asarray(T, dtype=float)
+    lam = np.asarray(lambdas, dtype=complex)
+    worst, point = certify._worst_sample(plant, K, T, hbar, nh, lam)
+    passed = worst <= 1.0 - certify._GUARD
+    cert = ContractionCertificate(passed, worst, point, "grid-sample", (nh, len(lam)), certify._GUARD)
+    return json.dumps(cert.to_dict())
+
+
+def test_a_complex_set_is_certified_at_its_fold_hull(di_plant, example1_design):
+    # sigma is convex in lambda over C and M(conj lambda) = conj M(lambda), so
+    # the members on the upper hull of (Re, |Im|) give the full set's report
+    dsn = example1_design
+    rng = np.random.default_rng(20261019)
+    cases = []  # (plant, K, T, hbar, lambdas)
+    dropped = 0
+    for n in (3, 5, 8, 13, 20, 29, 40):
+        for _ in range(3):
+            lam = consensus_eigenvalues(unbalanced_digraph(rng, n))
+            while not lam.imag.any():  # a directed tree's eigenvalues are real
+                lam = consensus_eigenvalues(unbalanced_digraph(rng, n))
+            spec = DesignSpec(float(10.0 ** rng.uniform(-1.0, 0.5)), float(lam.real.min()),
+                              float(np.abs(lam).max()))
+            own = design(spec)
+            cases += [(di_plant, own.K, own.T, spec.hbar, lam),
+                      (di_plant, own.K * rng.uniform(0.5, 3.0), own.T, spec.hbar, lam[::-1])]
+            dropped += not certify._fold_hull(lam).all()
+    assert dropped >= 15
+    ring = consensus_eigenvalues(WeightedDigraph.from_edges(
+        7, [(i, (i - 1) % 7, 1.0) for i in range(7)]))
+    square = [1 + 1j, 3 + 1j, 1 - 1j, 3 - 1j, 2 + 0.5j, 1 + 0j, 3 + 0j, 2 + 1j, 2.0, 1.5 + 0.2j]
+    special = [
+        ring[[2, 0, 2, 1, 0, 3, 3]],                        # duplicates, conjugates too
+        ring[ring.imag > 0],                                 # not closed under conjugation
+        square,                                              # collinear edges of a square
+        [2.0 + 0.5j, 2.0 + 0.1j, 2.0, 2.0 + 0.9j, 2.0 - 0.3j],  # one vertical line
+        [1.0 + 2j, 2.0 + 2j, 3.0 + 2j, 0.5 + 2j, 2.0 - 2j],  # one horizontal line
+        [1.5 + 0.7j],                                        # a single non-real value
+        [0.3, 2.0 + 0.4j, 6.0, 4.0, 3.0 - 0.1j, 0.3],        # mixed real and complex
+        [complex(2.0, -0.0), 1.0 + 0.5j, complex(2.0, 0.0), 3.0 + 0.0j, 2.5 - 0.5j],
+    ]
+    for lam in special:
+        cases += [(di_plant, dsn.K, dsn.T, 3.0, lam), (di_plant, 0.3 * dsn.K, dsn.T, 3.0, lam[::-1])]
+    for scale in (1e150, 1e-150, 2.0**500, 2.0**-500):
+        lam = scale * np.asarray(square)
+        cases += [(di_plant, dsn.K, dsn.T, 3.0, lam), (di_plant, dsn.K / scale, dsn.T, 3.0, lam)]
+    # a 3-state general plant goes through the LAPACK singular values
+    A = 0.5 * rng.normal(size=(3, 3)) - 1.5 * np.eye(3)
+    plant = PlantModel.general(A, rng.normal(size=(3, 1)))
+    K3 = 0.3 * rng.normal(size=(1, 3))
+    cases += [(plant, K3, None, 0.2, ring), (plant, 5.0 * K3, None, 0.2, square)]
+    # a zero gain: every sample of a row ties, so the first value is reported
+    # (the square's first value 1 + 1j is a vertex; 2 + 0.5j is interior)
+    cases += [(di_plant, np.zeros((1, 2)), dsn.T, 3.0, square[4:] + square[:4])]
+    for plant, K, T, hbar, lam in cases:
+        cert = certify_grid(plant, K, T, hbar, lam, grid=(30, 1))
+        assert json.dumps(cert.to_dict()) == full_set_report(plant, K, T, hbar, 30, lam)
+        assert cert.grid_shape == (30, len(lam))
+    # the square's fold keeps 1 + 1j and 3 + 1j (not their conjugates, which
+    # come later), 2 + 1j on the top edge and 1 + 0j below the first point;
+    # 3 + 0j lies between 3 - 1j and 3 + 1j, and the rest inside
+    assert np.flatnonzero(certify._fold_hull(np.asarray(square))).tolist() == [0, 1, 5, 7]
 
 
 def test_exact_certificate_never_grid_refuted_sample():

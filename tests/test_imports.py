@@ -3,6 +3,8 @@ library call of the package loads scipy in a fresh process.
 
 The pytest process itself has scipy loaded (test_numerics imports it), so
 each scipy check runs in a new interpreter with the package on PYTHONPATH.
+Some checks watch ``numpy.ma`` too, which numpy loads only on first use
+(``np.unique`` is one).
 """
 
 import ast
@@ -51,14 +53,17 @@ def test_runtime_dependencies_are_the_imported_distributions():
     assert requirement_names(project, "dependencies") == imported_distributions()
     # scipy is an oracle of the tests only
     assert "scipy" in requirement_names(extras, "test")
-    assert scipy_modules_after("import sdconsensus") == []
+    assert modules_after("import sdconsensus") == []
 
 
-def scipy_modules_after(code: str, *args: str) -> list:
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
-    script = textwrap.dedent(code) + textwrap.dedent("""
+def modules_after(code: str, *args: str, watched=("scipy",)) -> list:
+    """The modules of the ``watched`` packages (scipy by default) loaded once
+    ``code`` has run in a fresh interpreter."""
+    script = textwrap.dedent(code) + textwrap.dedent(f"""
         import json, sys
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        watched = {tuple(watched)!r}
+        print(json.dumps(sorted(m for m in sys.modules
+                                if any(m == w or m.startswith(w + ".") for w in watched))))
     """)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -75,7 +80,7 @@ def test_double_integrator_commands_do_not_import_scipy(tmp_path):
     raw["schedule"]["steps"] = 60
     config = tmp_path / "example1.yaml"
     config.write_text(yaml.safe_dump(raw), encoding="utf-8")
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         """
         import contextlib, io, sys
         from sdconsensus import cli
@@ -107,7 +112,7 @@ def test_general_plant_commands_do_not_import_scipy(tmp_path):
         "topology": {"random": {"agents": 5, "lambda_band": [0.3, 6.0]}},
         "sampling": {"hbar": 3.0},
     }), encoding="utf-8")
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         """
         import contextlib, io, sys
         import numpy as np
@@ -131,7 +136,7 @@ def test_general_plant_commands_do_not_import_scipy(tmp_path):
 
 
 def test_step_form_cross_check_does_not_import_scipy():
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         """
         import numpy as np
         from sdconsensus import DesignSpec, PlantModel, design, sim
@@ -144,5 +149,33 @@ def test_step_form_cross_check_does_not_import_scipy():
         ))
         sim.step_kronecker(np.ones((5, 2)), result.pool[0], dsn.K, 1.0, plant)
         """
+    )
+    assert loaded == []
+
+
+def test_fixed_mode_on_a_digraph_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # a directed ring's eigenvalues are complex: the certificate folds them
+    # and takes their hull without np.unique
+    (tmp_path / "ring.graph").write_text("4\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 1 1.0\n",
+                                         encoding="utf-8")
+    config = tmp_path / "fixed.yaml"
+    config.write_text(yaml.safe_dump({
+        "plant": {"kind": "double_integrator"},
+        "design": {"lambda2": 0.3, "lambdaN": 6.0},
+        "topology": {"graphs": ["ring.graph"]},
+        "sampling": {"hbar": 3.0},
+        "certify": {"mode": "fixed"},
+    }), encoding="utf-8")
+    loaded = modules_after(
+        """
+        import contextlib, io, json, sys
+        from sdconsensus import cli
+
+        config, report = sys.argv[1:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["certify", "--config", config, "--report", report]) == cli.EXIT_OK
+        assert json.load(open(report))["worst_lambda"][1] != 0.0
+        """,
+        str(config), str(tmp_path / "report.json"), watched=("scipy", "numpy.ma"),
     )
     assert loaded == []

@@ -260,6 +260,23 @@ def test_max_singular_values_huge_2x2_entries_match_lapack():
             assert np.array_equal(got[:5], max_singular_values(small))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_max_singular_values_are_conjugate_symmetric(n):
+    # for real B and C, B - conj(lam) C = conj(B - lam C) has the same sigma,
+    # bit for bit: certificates evaluate a complex set folded onto Im >= 0
+    rng = np.random.default_rng(29 + n)
+    for b_exp, c_exp, lam_exp in [(0, 0, 0), (300, 0, 0), (-300, 0, 0), (0, 300, -300),
+                                  (0, -300, 300), (150, 150, 0), (-150, -150, 0), (0, 0, 5)]:
+        B = rng.standard_normal((40, n, n)) * 10.0**b_exp
+        C = rng.standard_normal((40, n, n)) * 10.0**c_exp
+        lam = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 10.0**lam_exp
+        lam[:4] = [1j, -1j, 2.0 - 0.5j, -3.0 + 0.0j]
+        here = max_singular_values(B - lam[:, None, None] * C)
+        mirrored = max_singular_values(B - np.conj(lam)[:, None, None] * C)
+        assert np.isfinite(here).all() and (here > 0.0).all()
+        assert here.tobytes() == mirrored.tobytes(), (b_exp, c_exp, lam_exp)
+
+
 def test_singular_values_orthogonal_invariance():
     rng = np.random.default_rng(19)
     for _ in range(50):
