@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -376,41 +377,55 @@ def _load(raw: dict, base_dir: Path):
 # output writers
 
 
+def _write_rows(f, columns) -> None:
+    """Write one block of rows, each column an iterable of field strings.
+
+    Fields are joined by ``str.join`` over ``zip``, so a block costs one
+    C-level pass per column; the block ends with a newline unless empty.
+    """
+    f.write("\n".join(chain(map(",".join, zip(*columns)), ("",))))
+
+
+def _floats(a) -> map:
+    """The shortest round-trip text of each entry of ``a``."""
+    return map(repr, a.tolist())
+
+
 def write_trajectories_csv(path, records) -> None:
     """One row per sampling instant per run; the terminal row of each run
     leaves h and topology empty (no step starts there)."""
+    n_instants = max((len(rec.t) for rec in records), default=0)
+    ks = list(map(str, range(n_instants)))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("run,k,t,h,topology,delta,nu\n")
         for rec in records:
-            run = rec.run_id
-            t, h, topo, delta, nu = (
-                a.tolist() for a in (rec.t, rec.h, rec.topology, rec.delta, rec.nu)
-            )
-            f.writelines(
-                f"{run},{k},{tk!r},{hk!r},{g},{d!r},{v!r}\n"
-                for k, tk, hk, g, d, v in zip(range(len(h)), t, h, topo, delta, nu)
-            )
-            f.write(f"{run},{len(h)},{t[-1]!r},,,{delta[-1]!r},{nu[-1]!r}\n")
+            _write_rows(f, (
+                repeat(str(rec.run_id)), ks, _floats(rec.t),
+                chain(_floats(rec.h), ("",)),
+                chain(map(str, rec.topology.tolist()), ("",)),
+                _floats(rec.delta), _floats(rec.nu),
+            ))
 
 
 def write_aggregate_csv(path, aggregate) -> None:
+    values = np.asarray(aggregate, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("k,delta_max\n")
-        values = np.asarray(aggregate, dtype=float).tolist()
-        f.writelines(f"{k},{v!r}\n" for k, v in enumerate(values))
+        _write_rows(f, (map(str, range(len(values))), _floats(values)))
 
 
 def write_states_csv(path, records) -> None:
-    n_states = records[0].states.shape[2]
+    """One row per run, sampling instant and agent, k-major within a run."""
+    _, n_agents, n_states = records[0].states.shape
     cols = ",".join(f"x{c}" for c in range(n_states))
+    n_instants = max(len(rec.states) for rec in records)
+    ks = [k for k in map(str, range(n_instants)) for _ in range(n_agents)]
+    agents = list(map(str, range(n_agents))) * n_instants
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"run,k,agent,{cols}\n")
         for rec in records:
-            for k, frame in enumerate(rec.states.tolist()):
-                f.writelines(
-                    f"{rec.run_id},{k},{agent},{','.join(map(repr, row))}\n"
-                    for agent, row in enumerate(frame)
-                )
+            x = rec.states.reshape(-1, n_states).T
+            _write_rows(f, (repeat(str(rec.run_id)), ks, agents, *map(_floats, x)))
 
 
 def _write_json(path, payload: dict) -> None:

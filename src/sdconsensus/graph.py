@@ -218,10 +218,10 @@ def consensus_eigenvalues(g: WeightedDigraph) -> np.ndarray:
 def _random_connected_symmetric(rng: np.random.Generator, n: int, edge_prob: float) -> np.ndarray:
     w = np.zeros((n, n))
     order = rng.permutation(n)
-    for idx in range(1, n):
-        i = int(order[idx])
-        j = int(order[rng.integers(0, idx)])
-        w[i, j] = w[j, i] = 1.0
+    # spanning tree: node order[idx] joins a uniform earlier node, idx = 1..n-1
+    i = order[1:]
+    j = order[rng.integers(0, np.arange(1, n))]
+    w[i, j] = w[j, i] = 1.0
     extra = np.triu(rng.random((n, n)) < edge_prob, 1)
     extra = extra | extra.T
     w[extra] = 1.0

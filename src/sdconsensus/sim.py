@@ -176,7 +176,9 @@ class TrajectoryRecord:
     ``t``, ``delta`` and ``nu`` have steps + 1 entries (sampling instants
     including the initial one); ``h`` and ``topology`` have one entry per
     executed step.  ``step_form_gap`` is the largest deviation between the
-    neighbor-difference and Kronecker step forms when verification was on.
+    neighbor-difference and Kronecker step forms when verification was on,
+    and nan when the cross-check did not run (``verify_step_forms`` off, the
+    default), so an unchecked run never reads as a perfect match.
     """
 
     run_id: int
@@ -186,7 +188,7 @@ class TrajectoryRecord:
     delta: np.ndarray
     nu: np.ndarray
     states: np.ndarray | None = None
-    step_form_gap: float = 0.0
+    step_form_gap: float = math.nan
 
 
 @dataclass
@@ -478,7 +480,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     delta = np.empty((runs, steps + 1))
     nu = np.empty((runs, steps + 1))
     states = np.empty((runs, steps + 1, len(X), X.shape[2])) if config.record_states else None
-    gap = np.zeros(runs)
+    gap = np.zeros(runs) if config.verify_step_forms else np.full(runs, np.nan)
     degrees = [g.weights.sum(axis=1) for g in pool]
     laplacians = [laplacian(g) for g in pool] if config.verify_step_forms else None
     period = config.switch_period or steps

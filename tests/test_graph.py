@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from sdconsensus import graph
 from sdconsensus.graph import (
     WeightedDigraph,
     consensus_eigenvalues,
@@ -400,6 +401,43 @@ def test_random_balanced_graph_deterministic():
     g1 = random_balanced_graph(10, 1.0, 8.0, rng_seed=33)
     g2 = random_balanced_graph(10, 1.0, 8.0, rng_seed=33)
     assert np.array_equal(g1.weights, g2.weights)
+
+
+def _loop_connected_symmetric(rng, n, edge_prob):
+    """Reference draw: the spanning tree one node at a time."""
+    w = np.zeros((n, n))
+    order = rng.permutation(n)
+    for idx in range(1, n):
+        i = int(order[idx])
+        j = int(order[rng.integers(0, idx)])
+        w[i, j] = w[j, i] = 1.0
+    extra = np.triu(rng.random((n, n)) < edge_prob, 1)
+    extra = extra | extra.T
+    w[extra] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 100])
+def test_random_connected_symmetric_draws_as_the_node_loop(n):
+    # the vector tree draw consumes the generator exactly as the loop does,
+    # so the edges after it come out the same too
+    for seed in range(10):
+        vec, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        w = graph._random_connected_symmetric(vec, n, 0.3)
+        assert np.array_equal(w, _loop_connected_symmetric(loop, n, 0.3))
+        assert vec.random() == loop.random()
+
+
+@pytest.mark.parametrize(
+    "n, band", [(2, (0.3, 6.0)), (5, (0.3, 6.0)), (30, (1.0, 40.0)), (100, (5.0, 60.0))]
+)
+def test_random_balanced_graph_weights_match_the_node_loop(monkeypatch, n, band):
+    seeds = range(4)
+    vector = [random_balanced_graph(n, *band, rng_seed=s).weights for s in seeds]
+    monkeypatch.setattr(graph, "_random_connected_symmetric", _loop_connected_symmetric)
+    for seed, w in zip(seeds, vector):
+        ref = random_balanced_graph(n, *band, rng_seed=seed).weights
+        assert w.tobytes() == ref.tobytes()
 
 
 def test_random_balanced_graph_infeasible_band():

@@ -398,6 +398,13 @@ def test_run_verify_step_forms(example1_design):
         assert rec.step_form_gap < 1e-12
 
 
+def test_step_form_gap_is_nan_when_the_cross_check_did_not_run(small_batch):
+    # an unchecked run must not read as a perfect match (a gap of 0.0)
+    assert all(np.isnan(rec.step_form_gap) for rec in small_batch.records)
+    rec = small_batch.records[0]
+    assert np.isnan(sim.TrajectoryRecord(0, rec.t, rec.h, rec.topology, rec.delta, rec.nu).step_form_gap)
+
+
 def test_run_verify_step_forms_sees_a_wrong_step(monkeypatch, example1_design):
     # the cross-check is not vacuous: an exact step off by 1e-9 shows in the gap
     exact = sim._advance
@@ -642,6 +649,8 @@ def test_run_matches_step_by_step_reference(case, example1_design):
             assert rec.states is None
         if cfg.verify_step_forms:
             assert rec.step_form_gap < 1e-12
+        else:
+            assert np.isnan(rec.step_form_gap)
 
 
 def test_run_example2_regime_smoke(example2_design):
