@@ -221,7 +221,13 @@ def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
         raise ValueError("T must be square with the plant dimension")
     if not np.isfinite(T).all():
         raise ValueError("T must have finite entries")
-    if abs(np.linalg.det(T)) < 1e-300:
+    # a finite inverse, which every use of T needs: unlike a determinant, the
+    # test does not depend on T's units (inv(c T) = inv(T) / c)
+    try:
+        invertible = np.isfinite(np.linalg.inv(T)).all()
+    except np.linalg.LinAlgError:  # an exactly singular T
+        invertible = False
+    if not invertible:
         raise ValueError("T must be invertible")
     return K, T
 
@@ -242,20 +248,25 @@ def _worst_sample(
     carry the maximum of every h row.  The (h, lambda) stack is evaluated in
     chunks of whole h rows holding at most ``_STACK_CAP`` matrices.
     """
+    if not math.isfinite(hbar * nh):
+        raise ValueError(f"hbar = {hbar!r} is too large for {nh} h samples: hbar * {nh} overflows")
     h_samples = hbar * np.arange(1, nh + 1) / nh
     Tinv = np.linalg.inv(T)
-    F, G = plant.discretize(h_samples)
     # sigma(M) = s sigma(M / s) exactly for a power of two s: one that brings
     # K below 2^512 keeps G K from overflowing, and is 1 for smaller gains
     s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(K).max()))[1] - 512))
-    base = (Tinv @ (F / s) @ T)[:, None]
-    coupling = (Tinv @ (G @ (K / s)) @ T)[:, None]
     lam = lam_samples[:, None, None]
     sigmas = np.empty((nh, len(lam_samples)))
     rows = max(1, _STACK_CAP // len(lam_samples))
-    for i in range(0, nh, rows):
-        chunk = slice(i, i + rows)
-        sigmas[chunk] = numerics.max_singular_values(base[chunk] - lam * coupling[chunk])
+    # a huge h or T still overflows to an inf or nan sigma, which the verdict
+    # reads as refuted or inconclusive, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, G = plant.discretize(h_samples)
+        base = (Tinv @ (F / s) @ T)[:, None]
+        coupling = (Tinv @ (G @ (K / s)) @ T)[:, None]
+        for i in range(0, nh, rows):
+            chunk = slice(i, i + rows)
+            sigmas[chunk] = numerics.max_singular_values(base[chunk] - lam * coupling[chunk])
     i, j = np.unravel_index(int(np.argmax(sigmas)), sigmas.shape)
     return float(sigmas[i, j]) * s, (float(h_samples[i]), complex(lam_samples[j]))
 

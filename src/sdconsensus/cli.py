@@ -223,7 +223,7 @@ def _fill(fields: dict, raw, prefix: str = "") -> dict:
         else:
             try:
                 out[key] = coerce(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # float(10**400)
                 raise ConfigError(f"{prefix}{key}: {exc}") from exc
     return out
 
@@ -320,70 +320,63 @@ def read_graph_file(path) -> WeightedDigraph:
 # config -> objects
 
 
-def _build_plant(resolved: dict) -> PlantModel:
-    plant = resolved["plant"]
-    if plant["kind"] == "double_integrator":
-        return PlantModel.double_integrator()
-    return PlantModel.general(np.array(plant["A"]), np.array(plant["B"]))
+def _load(raw: dict, base_dir: Path):
+    """(resolved config, plant, gain keywords, topology, n_agents) of a raw
+    config mapping, built and checked in that order by every command.
 
-
-def _build_topology(resolved: dict, base_dir: Path):
-    """(topology object for sim, n_agents), or (None, None) without one."""
+    The gain keywords are those of SimulationConfig and certify_gain: a
+    design, or a raw gain K with its transform T (None for the identity).
+    The topology is a TopologyRecipe with its agent count, the pool of the
+    graph files (paths relative to ``base_dir``) with its node count, or
+    None without a topology section.
+    """
+    resolved = resolve_config(raw)
+    if resolved["plant"]["kind"] == "double_integrator":
+        plant = PlantModel.double_integrator()
+    else:
+        A, B = resolved["plant"]["A"], resolved["plant"]["B"]
+        plant = PlantModel.general(np.array(A), np.array(B))
+    if resolved["design"] is not None:
+        band = resolved["design"]["lambda2"], resolved["design"]["lambdaN"]
+        gain = {"design": design(DesignSpec(resolved["sampling"]["hbar"], *band))}
+    else:
+        T = resolved["gain"]["T"]
+        gain = {"gain": np.array(resolved["gain"]["K"]),
+                "transform": None if T is None else np.array(T)}
+    _gain_pair(plant, **gain)  # the library's gain rule, before the topology
     topo = resolved["topology"]
     if topo is None:
-        return None, None
+        return resolved, plant, gain, None, None
     if "random" in topo:
         r = topo["random"]
         recipe = TopologyRecipe(
             r["lambda_band"][0], r["lambda_band"][1],
             pool_size=r["pool_size"], seed=r["seed"], edge_prob=r["edge_prob"],
         )
-        return recipe, r["agents"]
+        return resolved, plant, gain, recipe, r["agents"]
     # the pool rule (not empty, one node count, ...) is graph.pool_band's
     pool = [read_graph_file(base_dir / p) for p in topo["graphs"]]
-    return pool, pool[0].n if pool else 0
-
-
-def _build_gain(resolved: dict) -> dict:
-    """The gain as keyword arguments of SimulationConfig and certify_gain:
-    a design, or a raw gain K with its transform T (None for the identity)."""
-    if resolved["design"] is not None:
-        spec = DesignSpec(
-            resolved["sampling"]["hbar"],
-            resolved["design"]["lambda2"],
-            resolved["design"]["lambdaN"],
-        )
-        return {"design": design(spec)}
-    T = resolved["gain"]["T"]
-    return {
-        "gain": np.array(resolved["gain"]["K"]),
-        "transform": None if T is None else np.array(T),
-    }
-
-
-def _load(raw: dict, base_dir: Path):
-    """(resolved config, plant, gain keywords, topology, n_agents) of a raw
-    config mapping, built and checked in that order by every command; graph
-    paths are relative to ``base_dir``."""
-    resolved = resolve_config(raw)
-    plant = _build_plant(resolved)
-    gain = _build_gain(resolved)
-    _gain_pair(plant, **gain)  # the library's gain rule, before the topology
-    topology, n_agents = _build_topology(resolved, base_dir)
-    return resolved, plant, gain, topology, n_agents
+    return resolved, plant, gain, pool, pool[0].n if pool else 0
 
 
 # ---------------------------------------------------------------------------
 # output writers
 
 
-def _write_rows(f, columns) -> None:
-    """Write one block of rows, each column an iterable of field strings.
+def _write_csv(path, header: str, blocks) -> None:
+    """Write the ``header`` line, then one block of rows per item of
+    ``blocks``: a tuple of columns, each an iterable of field strings.
 
     Fields are joined by ``str.join`` over ``zip``, so a block costs one
-    C-level pass per column; the block ends with a newline unless empty.
+    C-level pass per column; a block ends with a newline unless empty.
+    ``blocks`` may be a generator, so that one block is in memory at a time.
     """
-    f.write("\n".join(chain(map(",".join, zip(*columns)), ("",))))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header + "\n")
+        for columns in blocks:
+            f.write("\n".join(chain(map(",".join, zip(*columns)), ("",))))
 
 
 def _floats(a) -> map:
@@ -396,36 +389,28 @@ def write_trajectories_csv(path, records) -> None:
     leaves h and topology empty (no step starts there)."""
     n_instants = max((len(rec.t) for rec in records), default=0)
     ks = list(map(str, range(n_instants)))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("run,k,t,h,topology,delta,nu\n")
-        for rec in records:
-            _write_rows(f, (
-                repeat(str(rec.run_id)), ks, _floats(rec.t),
-                chain(_floats(rec.h), ("",)),
-                chain(map(str, rec.topology.tolist()), ("",)),
-                _floats(rec.delta), _floats(rec.nu),
-            ))
+    _write_csv(path, "run,k,t,h,topology,delta,nu", (
+        (repeat(str(rec.run_id)), ks, _floats(rec.t), chain(_floats(rec.h), ("",)),
+         chain(map(str, rec.topology.tolist()), ("",)), _floats(rec.delta), _floats(rec.nu))
+        for rec in records
+    ))
 
 
 def write_aggregate_csv(path, aggregate) -> None:
     values = np.asarray(aggregate, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("k,delta_max\n")
-        _write_rows(f, (map(str, range(len(values))), _floats(values)))
+    _write_csv(path, "k,delta_max", [(map(str, range(len(values))), _floats(values))])
 
 
 def write_states_csv(path, records) -> None:
     """One row per run, sampling instant and agent, k-major within a run."""
     _, n_agents, n_states = records[0].states.shape
-    cols = ",".join(f"x{c}" for c in range(n_states))
     n_instants = max(len(rec.states) for rec in records)
     ks = [k for k in map(str, range(n_instants)) for _ in range(n_agents)]
     agents = list(map(str, range(n_agents))) * n_instants
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"run,k,agent,{cols}\n")
-        for rec in records:
-            x = rec.states.reshape(-1, n_states).T
-            _write_rows(f, (repeat(str(rec.run_id)), ks, agents, *map(_floats, x)))
+    _write_csv(path, "run,k,agent," + ",".join(f"x{c}" for c in range(n_states)), (
+        (repeat(str(rec.run_id)), ks, agents, *map(_floats, rec.states.reshape(-1, n_states).T))
+        for rec in records
+    ))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -534,7 +519,6 @@ def cmd_simulate(args) -> int:
 
     t_ran = time.perf_counter()
     out_dir = Path(args.out) if args.out is not None else Path(resolved["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "trajectories": out_dir / "trajectories.csv",
         "aggregate": out_dir / "aggregate.csv",
@@ -618,7 +602,8 @@ def cmd_sweep(args) -> int:
             f"--mu1 and --mu2 must be finite with 0 < mu1 < mu2, got {args.mu1!r} and {args.mu2!r}"
         )
     plant = PlantModel.double_integrator()
-    lines = ["hbar,ratio,lambda2,lambdaN,feasible,k1,k2,K1,K2,verdict,margin"]
+    header = "hbar,ratio,lambda2,lambdaN,feasible,k1,k2,K1,K2,verdict,margin"
+    rows = []
     for hbar in hbars:
         for ratio in ratios:
             try:
@@ -630,17 +615,15 @@ def cmd_sweep(args) -> int:
             mu = (dsn.mu1, dsn.mu2) if args.mu1 is None else (args.mu1, args.mu2)
             feasible = is_feasible(spec, *mu)
             cert = certify_gain(plant, spec.hbar, (spec.lambda2, spec.lambdaN), design=dsn)
-            lines.append(
+            rows.append(
                 f"{_fmt(spec.hbar)},{_fmt(ratio)},{_fmt(spec.lambda2)},{_fmt(spec.lambdaN)},"
                 f"{int(feasible)},{_fmt(dsn.k1)},{_fmt(dsn.k2)},"
                 f"{_fmt(dsn.K[0, 0])},{_fmt(dsn.K[0, 1])},{cert.verdict},{_fmt(cert.margin)}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+    if args.out is None:
+        sys.stdout.write("\n".join([header, *rows, ""]))
     else:
-        sys.stdout.write(text)
+        _write_csv(args.out, header, [(rows,)])  # one column of whole rows
     return EXIT_OK
 
 

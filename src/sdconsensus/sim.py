@@ -167,6 +167,11 @@ class SimulationConfig:
         for lo, hi in self.init_bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError("init bounds must be finite with lo <= hi")
+            if not math.isfinite(hi - lo):  # a uniform draw needs the width
+                raise ValueError(
+                    f"init bounds must be finite with lo <= hi and a finite width, "
+                    f"got [{lo!r}, {hi!r}]"
+                )
 
 
 @dataclass
@@ -476,7 +481,6 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     X, h, topology = _draw_streams(config, len(pool))
     runs, steps = h.shape
     t = np.zeros((runs, steps + 1))
-    np.cumsum(h, axis=1, out=t[:, 1:])
     delta = np.empty((runs, steps + 1))
     nu = np.empty((runs, steps + 1))
     states = np.empty((runs, steps + 1, len(X), X.shape[2])) if config.record_states else None
@@ -487,9 +491,11 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     length = max(1, min(period, _BLOCK_ENTRIES // X.size))
     # sorted sets, not np.union1d/np.unique: those import numpy.ma on first use
     bounds = sorted({*range(0, steps, period), *range(0, steps, length)})
-    # a forced diverging gain overflows to inf and nan; the nan metrics and
-    # the convergence ratio report that, so numpy need not warn as well
+    # a forced diverging gain (or a huge hbar, in the times t) overflows to
+    # inf and nan; the metrics and the convergence ratio report that, so numpy
+    # need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(h, axis=1, out=t[:, 1:])
         for start, stop in zip(bounds, [*bounds[1:], steps]):
             # a stable sort by topology makes each group of the segment the
             # contiguous slice a:b of the sorted runs

@@ -405,6 +405,34 @@ def test_certify_grid_rejects_bad_inputs(di_plant, example1_design):
             certify_grid(di_plant, [[bad, 0.1]], dsn.T, 3.0, (0.3, 6.0))
         with pytest.raises(ValueError, match="^T must have finite entries$"):
             certify_grid(di_plant, dsn.K, [[118.0, bad], [0.0, 2.0]], 3.0, (0.3, 6.0))
+    # a T without a finite inverse, whatever its determinant
+    for T in ([[1.0, 1.0], [1.0, 1.0]], [[5e-324, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^T must be invertible$"):
+            certify_grid(di_plant, dsn.K, T, 3.0, (0.3, 6.0))
+    # an h grid that would overflow is refused by name
+    message = r"^hbar = 1e\+308 is too large for 200 h samples: hbar \* 200 overflows$"
+    with pytest.raises(ValueError, match=message):
+        certify_grid(di_plant, dsn.K, dsn.T, 1e308, (0.3, 6.0))
+
+
+@pytest.mark.parametrize("k", [-700, -64, 64, 700])
+def test_a_transform_in_other_units_gives_the_same_certificate(di_plant, example1_design, k):
+    # for a power of two c, inv(c T) = inv(T) / c and T^-1 M T round alike,
+    # so c T is the same transform; no determinant decides it
+    dsn = example1_design
+    for lambdas in ((0.3, 6.0), [0.5, 2.0 + 1.5j, 4.0 - 0.5j]):
+        scaled = certify_grid(di_plant, dsn.K, np.ldexp(dsn.T, k), 3.0, lambdas)
+        assert scaled.to_dict() == certify_grid(di_plant, dsn.K, dsn.T, 3.0, lambdas).to_dict()
+    assert certify_grid(di_plant, dsn.K, 1e-200 * np.eye(2), 3.0, (0.3, 6.0)).verdict == "refuted"
+
+
+def test_an_overflowing_evaluation_gets_a_verdict(di_plant):
+    # warnings are errors here: an inf sigma refutes and a nan one is inconclusive
+    K, band = [[0.001, 0.1]], (0.3, 6.0)
+    for hbar in (1e155, 8e305):  # h * h / 2 overflows in G
+        assert certify_grid(di_plant, K, None, hbar, band).verdict == "inconclusive"
+    huge_T = certify_grid(di_plant, K, [[1.0, 1e300], [0.0, 1.0]], 3.0, band)
+    assert huge_T.verdict == "refuted" and huge_T.worst_sigma == np.inf
 
 
 def test_certify_gain_takes_one_gain_and_a_transform_only_with_a_raw_gain(

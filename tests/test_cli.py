@@ -620,6 +620,9 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
         plant={"kind": "general", "A": [[0, 1], [0]], "B": [[0], [1]]}
     )
     ragged_gain = raw_gain([[0.1, 0.2], [0.3]])
+    # an integer beyond floats, and finite init ends whose width overflows
+    huge_int_hbar = sim_config_dict(sampling={"hbar": 10**400})
+    wide_init = sim_config_dict(init={"bounds": [[-1.0e308, 1.0e308], [-1, 1]]})
     # a key given twice is an error, not an override of its first value
     text = yaml.safe_dump(sim_config_dict())
     lines = text.splitlines()
@@ -667,7 +670,12 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
                              ("ragged_plant", ragged_plant,
                               "plant.A: expected a list of rows of equal length"),
                              ("ragged_gain", ragged_gain,
-                              "gain.K: expected a list of rows of equal length")):
+                              "gain.K: expected a list of rows of equal length"),
+                             ("huge_int_hbar", huge_int_hbar,
+                              "sampling.hbar: int too large to convert to float"),
+                             ("wide_init", wide_init,
+                              "init bounds must be finite with lo <= hi and a finite width, "
+                              "got [-1e+308, 1e+308]")):
         path = write_yaml(tmp_path / f"{name}.yaml", cfg)
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / name)])
         assert rc == cli.EXIT_USAGE, name
@@ -915,6 +923,29 @@ def test_certify_and_simulate_reject_the_same_pools(tmp_path, capsys, pool, gain
     assert certify_err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("gain, hbar, certify_rc", [
+    ({"K": [[0.001, 0.1]]}, 1e155, cli.EXIT_INCONCLUSIVE),  # h * h / 2 overflows
+    ({"K": [[0.001, 0.1]]}, 8e305, cli.EXIT_INCONCLUSIVE),
+    ({"K": [[0.001, 0.1]], "T": [[1.0, 1e300], [0.0, 1.0]]}, 3.0, cli.EXIT_REFUTED),
+    ({"K": [[0.001, 0.1]]}, 1e308, cli.EXIT_USAGE),  # hbar * 200 h samples overflows
+])
+def test_an_overflowing_certificate_exits_without_warnings(
+    tmp_path, capsys, gain, hbar, certify_rc
+):
+    # warnings are errors here
+    cfg = sim_config_dict(gain=gain, sampling={"hbar": hbar})
+    del cfg["design"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli.main(["certify", "--config", path]) == certify_rc
+    rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if certify_rc == cli.EXIT_USAGE:
+        message = "error: hbar = 1e+308 is too large for 200 h samples: hbar * 200 overflows\n"
+        assert rc == cli.EXIT_USAGE and err == message * 2
+    else:
+        assert rc == cli.EXIT_UNCERTIFIED and err.startswith("refused: ")
+
+
 def schema_fields(table=cli._SCHEMA, prefix=()):
     """Every section and field path of the config schema, nested ones included."""
     for key, (coerce, _) in table.items():
@@ -923,7 +954,7 @@ def schema_fields(table=cli._SCHEMA, prefix=()):
             yield from schema_fields(coerce, prefix + (key,))
 
 
-def test_no_bad_schema_value_escapes_main(tmp_path, capsys):
+def test_no_bad_schema_value_escapes_main(tmp_path, capsys, monkeypatch):
     # bad configs exit 2, never with a traceback; whichever object checks a value
     base = sim_config_dict(
         topology={"random": {"agents": 3, "lambda_band": [0.3, 6.0], "pool_size": 2}},
@@ -946,6 +977,56 @@ def test_no_bad_schema_value_escapes_main(tmp_path, capsys):
                 rc = cli.main([*command, "--config", path])
                 assert rc in (0, 1, 2, 3, 4), (field, value, command)
             capsys.readouterr()
+    # finite values at the float limits in every float leaf, of a design and
+    # of a raw-gain config, end in a verdict, a refusal or exit 2, never in a
+    # traceback or a numpy warning.  Integer leaves stay out: a huge pool_size
+    # spawns that many seed sequences before the first graph is drawn.  The
+    # file reader is bypassed, since YAML parsing would take most of the time.
+    design_cfg = dict(
+        base,
+        topology={"random": {"agents": 3, "lambda_band": [0.3, 6.0], "edge_prob": 0.3}},
+        sampling={"hbar": 3.0, "h_min": 0.003},
+        init={"bounds": [[-10.0, 10.0], [-1.0, 1.0]]},
+    )
+    gain_cfg = {k: v for k, v in design_cfg.items() if k != "design"}
+    gain_cfg["gain"] = {"K": [[0.001, 0.1]], "T": [[1.0, 0.0], [0.0, 1.0]]}
+    configs = []
+    for cfg in (design_cfg, gain_cfg):
+        leaves = list(float_leaves(cfg))
+        assert ("sampling", "hbar") in leaves and ("init", "bounds", 1, 0) in leaves
+        for leaf in leaves:
+            for value in (1e308, -1e308, 8e305, 1e300, 1e155, 1e-300, 5e-324, -5e-324, 0.0):
+                configs.append((leaf, value, replaced(cfg, leaf, value)))
+    configs.append(("both init ends", 1e308,
+                    replaced(design_cfg, ("init", "bounds", 0), [-1e308, 1e308])))
+    out = str(tmp_path / "out")
+    for leaf, value, cfg in configs:
+        monkeypatch.setattr(cli, "load_config", lambda _, cfg=cfg: json.loads(json.dumps(cfg)))
+        for command in (["certify"], ["simulate", "--out", out],
+                        ["simulate", "--force", "--out", out]):
+            rc = cli.main([*command, "--config", "cfg.yaml"])
+            assert rc in (0, 1, 2, 3, 4), (leaf, value, command)
+        capsys.readouterr()
+
+
+def float_leaves(node, prefix=()):
+    """The path of every float in a config mapping, list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, float):
+            yield prefix + (key,)
+        elif isinstance(value, (dict, list)):
+            yield from float_leaves(value, prefix + (key,))
+
+
+def replaced(cfg, path, value):
+    """A copy of the config mapping ``cfg`` with ``value`` at ``path``."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,14 @@ def test_run_force_overrides_refusal():
     assert result.certificate.verdict != "certified"
 
 
+def test_a_forced_run_at_a_huge_hbar_overflows_without_warnings():
+    # warnings are errors here: the sampling times overflow to inf in t
+    cfg = small_config(gain=np.array([[0.001, 0.1]]), hbar=8e305, steps=1000, runs=2)
+    result = run(cfg, force=True)
+    assert result.certificate.verdict == "inconclusive"
+    assert all(np.isinf(rec.t[-1]) for rec in result.records)
+
+
 def test_run_explicit_pool_and_states(example1_design):
     pool = [pair_graph(0.5), pair_graph(1.5)]
     cfg = SimulationConfig(
@@ -750,6 +758,11 @@ def test_config_rejects_bad_init_bounds(example1_design):
     for bad in ((float("nan"), 1.0), (0.0, float("inf")), (1.0, -1.0)):
         with pytest.raises(ValueError, match="^init bounds must be finite with lo <= hi$"):
             small_config(design=example1_design, init_bounds=((0.0, 1.0), bad))
+    # finite ends whose width overflows: a uniform draw would raise
+    message = (r"^init bounds must be finite with lo <= hi and a finite width, "
+               r"got \[-1e\+308, 1e\+308\]$")
+    with pytest.raises(ValueError, match=message):
+        small_config(design=example1_design, init_bounds=((-1e308, 1e308), (-1.0, 1.0)))
 
 
 def test_config_rejects_gain_shape():
