@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ import yaml
 from . import __version__
 from .certify import PlantModel, _gain_pair, certify_gain
 from .graph import WeightedDigraph, consensus_eigenvalues, has_spanning_tree
+from .numerics import repr_bytes
 from .sim import (
     DEFAULT_INIT_BOUNDS,
     H_MIN_FRACTION,
@@ -363,54 +363,83 @@ def _load(raw: dict, base_dir: Path):
 # output writers
 
 
-def _write_csv(path, header: str, blocks) -> None:
-    """Write the ``header`` line, then one block of rows per item of
-    ``blocks``: a tuple of columns, each an iterable of field strings.
+_BLOCK_ROWS = 4096  # rows laid out at once, which bounds the writers' memory
 
-    Fields are joined by ``str.join`` over ``zip``, so a block costs one
-    C-level pass per column; a block ends with a newline unless empty.
-    ``blocks`` may be a generator, so that one block is in memory at a time.
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write the ``header`` line, then the rows of each item of ``blocks``:
+    a tuple of columns, each a float array (written as ``repr`` text) or an
+    ``S`` array.  A column shorter than the others leaves its last rows
+    empty.  ``blocks`` may be a generator, so that one block is in memory
+    at a time.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(header + "\n")
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
         for columns in blocks:
-            f.write("\n".join(chain(map(",".join, zip(*columns)), ("",))))
+            for start in range(0, max(map(len, columns)), _BLOCK_ROWS):
+                f.write(_rows([c[start:start + _BLOCK_ROWS] for c in columns]))
 
 
-def _floats(a) -> map:
-    """The shortest round-trip text of each entry of ``a``."""
-    return map(repr, a.tolist())
+def _rows(columns) -> bytes:
+    """The text of the rows of ``columns``: the float columns go through one
+    ``repr_bytes`` call, then the fields, zero-padded to their column's
+    width, and the separators fill a uint8 matrix whose zero bytes are
+    dropped."""
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    text = repr_bytes(np.concatenate([np.empty(0), *floats]))
+    parts = iter(np.split(text, np.cumsum([len(c) for c in floats])))
+    fields = [next(parts) if c.dtype.kind == "f" else c for c in columns]
+    mat = np.zeros((max(map(len, fields)), sum(c.itemsize + 1 for c in fields)), dtype=np.uint8)
+    at = 0
+    for field in fields:
+        width = field.itemsize
+        mat[:len(field), at:at + width] = field.view(np.uint8).reshape(-1, width)
+        mat[:, at + width] = ord(",")
+        at += width + 1
+    mat[:, -1] = ord("\n")
+    return mat.tobytes().translate(None, b"\0")
+
+
+def _labels(n: int) -> np.ndarray:
+    """The decimal text of 0 .. n - 1, an ``S`` array."""
+    return np.arange(n).astype(f"S{len(str(max(n - 1, 0)))}")
 
 
 def write_trajectories_csv(path, records) -> None:
     """One row per sampling instant per run; the terminal row of each run
     leaves h and topology empty (no step starts there)."""
-    n_instants = max((len(rec.t) for rec in records), default=0)
-    ks = list(map(str, range(n_instants)))
+    # one label array serves both integer columns: k and the topology index
+    labels = _labels(max(
+        (max(len(rec.t), rec.topology.max(initial=-1) + 1) for rec in records), default=0
+    ))
     _write_csv(path, "run,k,t,h,topology,delta,nu", (
-        (repeat(str(rec.run_id)), ks, _floats(rec.t), chain(_floats(rec.h), ("",)),
-         chain(map(str, rec.topology.tolist()), ("",)), _floats(rec.delta), _floats(rec.nu))
+        (np.full(len(rec.t), str(rec.run_id).encode()), labels[:len(rec.t)], rec.t, rec.h,
+         labels.take(rec.topology), rec.delta, rec.nu)
         for rec in records
     ))
 
 
 def write_aggregate_csv(path, aggregate) -> None:
     values = np.asarray(aggregate, dtype=float)
-    _write_csv(path, "k,delta_max", [(map(str, range(len(values))), _floats(values))])
+    _write_csv(path, "k,delta_max", [(_labels(len(values)), values)])
 
 
 def write_states_csv(path, records) -> None:
     """One row per run, sampling instant and agent, k-major within a run."""
     _, n_agents, n_states = records[0].states.shape
     n_instants = max(len(rec.states) for rec in records)
-    ks = [k for k in map(str, range(n_instants)) for _ in range(n_agents)]
-    agents = list(map(str, range(n_agents))) * n_instants
-    _write_csv(path, "run,k,agent," + ",".join(f"x{c}" for c in range(n_states)), (
-        (repeat(str(rec.run_id)), ks, agents, *map(_floats, rec.states.reshape(-1, n_states).T))
-        for rec in records
-    ))
+    ks = np.repeat(_labels(n_instants), n_agents)
+    agents = np.tile(_labels(n_agents), n_instants)
+
+    def blocks():
+        for rec in records:
+            rows = len(rec.states) * n_agents
+            yield (np.full(rows, str(rec.run_id).encode()), ks[:rows], agents[:rows],
+                   *rec.states.reshape(rows, n_states).T)
+
+    _write_csv(path, "run,k,agent," + ",".join(f"x{c}" for c in range(n_states)), blocks())
 
 
 def _write_json(path, payload: dict) -> None:
@@ -623,7 +652,7 @@ def cmd_sweep(args) -> int:
     if args.out is None:
         sys.stdout.write("\n".join([header, *rows, ""]))
     else:
-        _write_csv(args.out, header, [(rows,)])  # one column of whole rows
+        _write_csv(args.out, header, [(np.array(rows, dtype="S"),)])  # one column of whole rows
     return EXIT_OK
 
 

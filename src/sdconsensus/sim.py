@@ -65,6 +65,9 @@ H_MIN_FRACTION = 1e-3
 # its steps (2.5 blocks at 5 steps a block) when all its runs share one
 # topology, less with more groups
 _BLOCK_ENTRIES = 1 << 20
+# a random pool holds pool_size dense n_agents x n_agents weight matrices;
+# one of more entries (512 MB of them) is refused before any graph is drawn
+_POOL_ENTRIES = 1 << 26
 
 
 class UncertifiedGainError(RuntimeError):
@@ -409,19 +412,24 @@ def _topology_band(topology) -> tuple[float, float]:
 
 
 def _materialize_pool(config: SimulationConfig, pool_seed) -> list:
+    """The topology pool: a recipe's graph i is drawn from child i of its
+    seed (the batch's pool seed by default), made as ``spawn`` makes it."""
     if isinstance(config.topology, TopologyRecipe):
         recipe = config.topology
-        seq = (
-            np.random.SeedSequence(recipe.seed)
-            if recipe.seed is not None
-            else pool_seed
-        )
+        weights = recipe.pool_size * config.n_agents**2
+        if weights > _POOL_ENTRIES:
+            raise ValueError(
+                f"pool_size = {recipe.pool_size} graphs of {config.n_agents} agents hold "
+                f"{weights} weights, more than the {_POOL_ENTRIES} a pool may hold"
+            )
+        seq = np.random.SeedSequence(recipe.seed) if recipe.seed is not None else pool_seed
         return [
             random_balanced_graph(
-                config.n_agents, recipe.lambda_lo, recipe.lambda_hi, s,
+                config.n_agents, recipe.lambda_lo, recipe.lambda_hi,
+                np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, i)),
                 edge_prob=recipe.edge_prob,
             )
-            for s in seq.spawn(recipe.pool_size)
+            for i in range(recipe.pool_size)
         ]
     return list(config.topology)
 

@@ -435,6 +435,20 @@ def test_an_overflowing_evaluation_gets_a_verdict(di_plant):
     assert huge_T.verdict == "refuted" and huge_T.worst_sigma == np.inf
 
 
+def test_an_overflowing_third_order_evaluation_gets_a_verdict():
+    # the closed loops of a 3-state plant go through LAPACK, which refuses
+    # their inf and nan entries: the grid still gets a verdict, warning-free
+    chain = PlantModel.general(np.diag([1.0, 1.0], 1), np.array([[0.0], [0.0], [1.0]]))
+    K, band = [[0.001, 0.01, 0.1]], (0.3, 6.0)
+    for hbar in (1e155, 8e305):
+        cert = certify_grid(chain, K, None, hbar, band)
+        assert cert.verdict == "inconclusive" and np.isnan(cert.worst_sigma)
+        assert certify_gain(chain, hbar, band, gain=K).verdict == "inconclusive"
+    huge_T = certify_grid(chain, K, [[1.0, 0.0, 1e300], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                          3.0, band)
+    assert huge_T.verdict == "refuted" and huge_T.worst_sigma == np.inf
+
+
 def test_certify_gain_takes_one_gain_and_a_transform_only_with_a_raw_gain(
     di_plant, example1_design
 ):

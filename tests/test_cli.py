@@ -946,6 +946,41 @@ def test_an_overflowing_certificate_exits_without_warnings(
         assert rc == cli.EXIT_UNCERTIFIED and err.startswith("refused: ")
 
 
+@pytest.mark.parametrize("hbar", [1e155, 8e305])
+def test_an_overflowing_third_order_certificate_exits_without_warnings(tmp_path, capsys, hbar):
+    # warnings are errors here; LAPACK refuses the overflowed closed loops of
+    # a 3-state plant, which are inconclusive, as those of 2-state plants
+    cfg = sim_config_dict(
+        plant={"kind": "general", "A": np.diag([1.0, 1.0], 1).tolist(),
+               "B": [[0.0], [0.0], [1.0]]},
+        gain={"K": [[0.001, 0.01, 0.1]]},
+        sampling={"hbar": hbar},
+        init={"bounds": [[-1.0, 1.0]] * 3},
+    )
+    del cfg["design"]
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert cli.main(["certify", "--config", path]) == cli.EXIT_INCONCLUSIVE
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == (
+        cli.EXIT_UNCERTIFIED
+    )
+    assert capsys.readouterr().err.startswith("refused: ")
+    assert cli.main(["simulate", "--force", "--config", path,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
+def test_simulate_refuses_a_pool_past_its_weight_bound(tmp_path, capsys):
+    # a value that allocates nothing: the bound is checked before any graph
+    cfg = sim_config_dict(
+        topology={"random": {"agents": 5, "lambda_band": [0.3, 6.0], "pool_size": 10**400}}
+    )
+    path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE and not (tmp_path / "out").exists()
+    assert err.startswith(f"error: pool_size = {10**400} graphs of 5 agents hold ")
+    assert err.endswith(f" weights, more than the {1 << 26} a pool may hold\n")
+
+
 def schema_fields(table=cli._SCHEMA, prefix=()):
     """Every section and field path of the config schema, nested ones included."""
     for key, (coerce, _) in table.items():
@@ -977,14 +1012,16 @@ def test_no_bad_schema_value_escapes_main(tmp_path, capsys, monkeypatch):
                 rc = cli.main([*command, "--config", path])
                 assert rc in (0, 1, 2, 3, 4), (field, value, command)
             capsys.readouterr()
-    # finite values at the float limits in every float leaf, of a design and
-    # of a raw-gain config, end in a verdict, a refusal or exit 2, never in a
-    # traceback or a numpy warning.  Integer leaves stay out: a huge pool_size
-    # spawns that many seed sequences before the first graph is drawn.  The
-    # file reader is bypassed, since YAML parsing would take most of the time.
+    # values at the limits in every number leaf, of a design and of a
+    # raw-gain config, end in a verdict, a refusal or exit 2, never in a
+    # traceback or a numpy warning: finite floats at the float limits, and
+    # integers past any array size (a pool, a batch array), which are refused
+    # before anything of that size is allocated.  The file reader is
+    # bypassed, since YAML parsing would take most of the time.
     design_cfg = dict(
         base,
-        topology={"random": {"agents": 3, "lambda_band": [0.3, 6.0], "edge_prob": 0.3}},
+        topology={"random": {"agents": 3, "lambda_band": [0.3, 6.0], "edge_prob": 0.3,
+                             "pool_size": 2, "seed": 5}},
         sampling={"hbar": 3.0, "h_min": 0.003},
         init={"bounds": [[-10.0, 10.0], [-1.0, 1.0]]},
     )
@@ -996,6 +1033,11 @@ def test_no_bad_schema_value_escapes_main(tmp_path, capsys, monkeypatch):
         assert ("sampling", "hbar") in leaves and ("init", "bounds", 1, 0) in leaves
         for leaf in leaves:
             for value in (1e308, -1e308, 8e305, 1e300, 1e155, 1e-300, 5e-324, -5e-324, 0.0):
+                configs.append((leaf, value, replaced(cfg, leaf, value)))
+        leaves = list(int_leaves(cfg))
+        assert len(leaves) == 7  # agents, pool_size, both seeds, steps, switch_period, runs
+        for leaf in leaves:
+            for value in (2**62, 10**400, 0):
                 configs.append((leaf, value, replaced(cfg, leaf, value)))
     configs.append(("both init ends", 1e308,
                     replaced(design_cfg, ("init", "bounds", 0), [-1e308, 1e308])))
@@ -1017,6 +1059,16 @@ def float_leaves(node, prefix=()):
             yield prefix + (key,)
         elif isinstance(value, (dict, list)):
             yield from float_leaves(value, prefix + (key,))
+
+
+def int_leaves(node, prefix=()):
+    """The path of every integer in a config mapping, booleans left out."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, int) and not isinstance(value, bool):
+            yield prefix + (key,)
+        elif isinstance(value, (dict, list)):
+            yield from int_leaves(value, prefix + (key,))
 
 
 def replaced(cfg, path, value):

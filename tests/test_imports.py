@@ -97,7 +97,7 @@ def test_double_integrator_commands_do_not_import_scipy(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == cli.EXIT_OK, argv
         """,
-        str(config), str(tmp_path / "out"),
+        str(config), str(tmp_path / "out"), watched=("scipy", "numpy.ma"),
     )
     assert (tmp_path / "out" / "trajectories.csv").is_file()
     assert loaded == []

@@ -260,6 +260,26 @@ def test_max_singular_values_huge_2x2_entries_match_lapack():
             assert np.array_equal(got[:5], max_singular_values(small))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 1)])
+def test_max_singular_values_of_non_finite_matrices_match_the_closed_form(shape):
+    # LAPACK refuses inf and nan; like the 2x2 closed form, a nan entry gives
+    # nan and an inf entry inf, and the finite slices keep their sigma
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((5, *shape))
+    finite = stack.copy()
+    stack[1, 0, 0] = np.inf
+    stack[2, -1, -1] = -np.inf
+    stack[3, 0, -1] = np.nan
+    stack[4, 0, 0], stack[4, -1, 0] = np.inf, np.nan
+    for arr in (stack, stack + 1j * finite):
+        got = max_singular_values(arr)
+        assert got[1] == got[2] == np.inf and np.isnan(got[3:]).all()
+        assert got[0] == max_singular_values(arr[0]) == max_singular_value(arr[0])
+    assert max_singular_values(stack[1]) == np.inf
+    assert np.isnan(max_singular_values(stack[3]))
+    assert max_singular_values(stack[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_max_singular_values_are_conjugate_symmetric(n):
     # for real B and C, B - conj(lam) C = conj(B - lam C) has the same sigma,

@@ -6,7 +6,12 @@ import pytest
 
 from sdconsensus import sim
 from sdconsensus.certify import PlantModel
-from sdconsensus.graph import WeightedDigraph, laplacian, reduction_basis
+from sdconsensus.graph import (
+    WeightedDigraph,
+    laplacian,
+    random_balanced_graph,
+    reduction_basis,
+)
 from sdconsensus.sim import (
     SimulationConfig,
     TopologyRecipe,
@@ -359,6 +364,36 @@ def test_a_forced_run_at_a_huge_hbar_overflows_without_warnings():
     result = run(cfg, force=True)
     assert result.certificate.verdict == "inconclusive"
     assert all(np.isinf(rec.t[-1]) for rec in result.records)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_run_draws_pool_graph_i_from_child_i_of_the_pool_seed(seed, example1_design):
+    # each child is made on its own, equal to the one spawn makes
+    recipe = TopologyRecipe(0.3, 6.0, pool_size=3, seed=seed)
+    result = run(small_config(design=example1_design, topology=recipe, steps=2, runs=1))
+    parent = (np.random.SeedSequence(42, spawn_key=(0,)) if seed is None
+              else np.random.SeedSequence(seed))
+    for graph, child in zip(result.pool, parent.spawn(3), strict=True):
+        assert np.array_equal(graph.weights, random_balanced_graph(5, 0.3, 6.0, child).weights)
+
+
+@pytest.mark.parametrize("pool_size, n_agents", [
+    ((1 << 26) // 25 + 1, 5),  # one weight past the bound
+    (1, (1 << 13) + 1),
+    (10**400, 3),
+])
+def test_run_refuses_a_pool_past_its_weight_bound_before_drawing(
+    monkeypatch, example1_design, pool_size, n_agents
+):
+    # these pools would take gigabytes and more: nothing is drawn or allocated
+    monkeypatch.setattr(sim, "random_balanced_graph", lambda *a, **k: pytest.fail("drew"))
+    cfg = small_config(design=example1_design, n_agents=n_agents,
+                       topology=TopologyRecipe(0.3, 6.0, pool_size=pool_size))
+    with pytest.raises(ValueError, match=(
+        rf"^pool_size = {pool_size} graphs of {n_agents} agents hold \d+ weights, "
+        rf"more than the {1 << 26} a pool may hold$"
+    )):
+        run(cfg)
 
 
 def test_run_explicit_pool_and_states(example1_design):
