@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,11 +194,21 @@ class ContractionCertificate:
         }
 
 
-def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
-    """The (K, T) a request uses, checked against the plant: the one rule for
-    a gain.  Exactly one of a ``design`` (its own K and T) or a raw ``gain``
-    K, whose ``transform`` T is the identity when None.  A design serves
-    the double-integrator plant only; this is the one place that says so."""
+class _GainPair(NamedTuple):
+    """A gain checked against its plant: K, its transform T and T^-1."""
+
+    K: np.ndarray
+    T: np.ndarray
+    Tinv: np.ndarray
+
+
+def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None) -> _GainPair:
+    """The checked K, T and T^-1 a request uses: the one rule for a gain, and
+    the one owner of T^-1.  Exactly one of a ``design``, whose own arrays it
+    returns (``GainDesign`` inverts T to derive K), or a raw ``gain`` K, whose
+    ``transform`` T is the identity when None, else inverted once by the T
+    check.  A design serves the double-integrator plant only; this is the
+    one place that says so."""
     if (design is None) == (gain is None):
         raise ValueError("exactly one of design or gain must be set")
     if design is not None:
@@ -208,37 +219,38 @@ def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
             )
         if transform is not None:
             raise ValueError("transform goes with a raw gain; a design carries its own")
-        gain, transform = design.K, design.T
-    K = np.asarray(gain, dtype=float)
+        return _GainPair(design.K, design.T, design.Tinv)
+    K = np.array(gain, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
     if not np.isfinite(K).all():
         raise ValueError("K must have finite entries")
-    if transform is None:
-        return K, np.eye(plant.n)
-    T = np.asarray(transform, dtype=float)
-    if T.shape != (plant.n, plant.n):
+    T = np.eye(plant.n) if transform is None else np.array(transform, dtype=float)
+    Tinv = T if transform is None else _transform_inverse(T, plant.n)
+    for M in (K, T, Tinv):  # read-only copies: T^-1 stays the inverse of T
+        M.setflags(write=False)
+    return _GainPair(K, T, Tinv)
+
+
+def _transform_inverse(T: np.ndarray, n: int) -> np.ndarray:
+    """T^-1 of a transform T of an n-state plant, checked: the one T check."""
+    if T.shape != (n, n):
         raise ValueError("T must be square with the plant dimension")
     if not np.isfinite(T).all():
         raise ValueError("T must have finite entries")
     # a finite inverse, which every use of T needs: unlike a determinant, the
     # test does not depend on T's units (inv(c T) = inv(T) / c)
     try:
-        invertible = np.isfinite(np.linalg.inv(T)).all()
+        Tinv = np.linalg.inv(T)
     except np.linalg.LinAlgError:  # an exactly singular T
-        invertible = False
-    if not invertible:
+        raise ValueError("T must be invertible") from None
+    if not np.isfinite(Tinv).all():
         raise ValueError("T must be invertible")
-    return K, T
+    return Tinv
 
 
 def _worst_sample(
-    plant: PlantModel,
-    K: np.ndarray,
-    T: np.ndarray,
-    hbar: float,
-    nh: int,
-    lam_samples: np.ndarray,
+    plant: PlantModel, pair: _GainPair, hbar: float, nh: int, lam_samples: np.ndarray
 ) -> tuple[float, tuple[float, complex]]:
     """Largest singular value of T^-1 (F - lambda G K) T on the sample grid
     h = hbar / nh, ..., hbar by ``lam_samples``, and the (h, lambda) where it
@@ -251,10 +263,9 @@ def _worst_sample(
     if not math.isfinite(hbar * nh):
         raise ValueError(f"hbar = {hbar!r} is too large for {nh} h samples: hbar * {nh} overflows")
     h_samples = hbar * np.arange(1, nh + 1) / nh
-    Tinv = np.linalg.inv(T)
     # sigma(M) = s sigma(M / s) exactly for a power of two s: one that brings
     # K below 2^512 keeps G K from overflowing, and is 1 for smaller gains
-    s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(K).max()))[1] - 512))
+    s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(pair.K).max()))[1] - 512))
     lam = lam_samples[:, None, None]
     sigmas = np.empty((nh, len(lam_samples)))
     rows = max(1, _STACK_CAP // len(lam_samples))
@@ -262,8 +273,8 @@ def _worst_sample(
     # reads as refuted or inconclusive, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
         F, G = plant.discretize(h_samples)
-        base = (Tinv @ (F / s) @ T)[:, None]
-        coupling = (Tinv @ (G @ (K / s)) @ T)[:, None]
+        base = (pair.Tinv @ (F / s) @ pair.T)[:, None]
+        coupling = (pair.Tinv @ (G @ (pair.K / s)) @ pair.T)[:, None]
         for i in range(0, nh, rows):
             chunk = slice(i, i + rows)
             sigmas[chunk] = numerics.max_singular_values(base[chunk] - lam * coupling[chunk])
@@ -299,7 +310,8 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
     """
     nh, nl = _CONFIRM_GRID
     ends = _lambda_samples((spec.lambda2, spec.lambdaN))
-    worst, point = _worst_sample(PlantModel.double_integrator(), dsn.K, dsn.T, spec.hbar, nh, ends)
+    plant = PlantModel.double_integrator()
+    worst, point = _worst_sample(plant, _gain_pair(plant, design=dsn), spec.hbar, nh, ends)
     passed = check_gain_inequalities(spec, dsn)
     reached = "grid sample at or above one" if worst >= 1.0 else "no grid sample reached one"
     notes = "" if passed else f"gain inequalities violated; {reached}"
@@ -370,21 +382,7 @@ def certify_grid(
     in row-major order on ties).  The h axis excludes zero, where the map is
     the identity; the smallest sample is hbar / grid[0].
     """
-    K, T = _gain_pair(plant, gain=K, transform=T)
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise ValueError("hbar must be positive and finite")
-    nh, nl = grid
-    if nh < 1:
-        raise ValueError("grid needs at least one h sample")
-    lam_samples = _lambda_samples(lambdas)
-    if np.iscomplexobj(lam_samples):
-        nl = len(lam_samples)
-        lam_samples = lam_samples[_fold_hull(lam_samples)]
-    elif nl < 2:
-        raise ValueError("a real lambda band needs at least 2 samples")
-    worst, point = _worst_sample(plant, K, T, hbar, nh, lam_samples)
-    passed = worst <= 1.0 - _GUARD
-    return ContractionCertificate(passed, worst, point, "grid-sample", (nh, nl), _GUARD)
+    return _certify(plant, hbar, lambdas, _gain_pair(plant, gain=K, transform=T), grid=grid)
 
 
 def certify_gain(
@@ -408,12 +406,29 @@ def certify_gain(
     certificate of K under T.  A gain, its plant, hbar and lambda set
     therefore have one certificate, whoever asks.
     """
-    K, T = _gain_pair(plant, design=design, gain=gain, transform=transform)
-    if design is not None:
-        lam = _lambda_samples(lambdas)
-        if not np.iscomplexobj(lam):
-            return certify_double_integrator(DesignSpec(hbar, *lam.tolist()), design)
-    return certify_grid(plant, K, T, hbar, lambdas)
+    pair = _gain_pair(plant, design=design, gain=gain, transform=transform)
+    return _certify(plant, hbar, lambdas, pair, design)
+
+
+def _certify(plant, hbar, lambdas, pair: _GainPair, design=None, grid=_SAMPLE_GRID):
+    """``certify_gain``'s certificate of a checked ``pair`` (of ``design``, if
+    one), and ``certify_grid``'s with a ``grid``."""
+    lam_samples = _lambda_samples(lambdas)  # once: an iterator is read once
+    if design is not None and not np.iscomplexobj(lam_samples):
+        return certify_double_integrator(DesignSpec(hbar, *lam_samples.tolist()), design)
+    if not (math.isfinite(hbar) and hbar > 0.0):
+        raise ValueError("hbar must be positive and finite")
+    nh, nl = grid
+    if nh < 1:
+        raise ValueError("grid needs at least one h sample")
+    if np.iscomplexobj(lam_samples):
+        nl = len(lam_samples)
+        lam_samples = lam_samples[_fold_hull(lam_samples)]
+    elif nl < 2:
+        raise ValueError("a real lambda band needs at least 2 samples")
+    worst, point = _worst_sample(plant, pair, hbar, nh, lam_samples)
+    passed = worst <= 1.0 - _GUARD
+    return ContractionCertificate(passed, worst, point, "grid-sample", (nh, nl), _GUARD)
 
 
 def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float:
@@ -426,14 +441,17 @@ def network_contraction(plant: PlantModel, K, T, reduced_lap, h: float) -> float
     eigenvalues lambda_i of the per-mode value, which the certificates bound
     (real eigenvalues through their band); otherwise it is at least that.
     """
-    K, T = _gain_pair(plant, gain=K, transform=T)
+    K, T, Tinv = _gain_pair(plant, gain=K, transform=T)
     lbar = np.asarray(reduced_lap, dtype=float)
     if lbar.ndim != 2 or lbar.shape[0] != lbar.shape[1]:
         raise ValueError("reduced Laplacian must be square")
-    F, G = plant.discretize(h)
-    n_modes = lbar.shape[0]
-    eye = np.eye(n_modes)
-    phi = np.kron(eye, F) - np.kron(lbar, G @ K)
-    Tinv = np.linalg.inv(T)
-    phi_hat = np.kron(eye, Tinv) @ phi @ np.kron(eye, T)
+    eye = np.eye(lbar.shape[0])
+    # a huge h or gain overflows: the matrix then has an inf sigma, or a nan
+    # one with a nan entry, as in max_singular_values, and numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, G = plant.discretize(h)
+        phi = np.kron(eye, F) - np.kron(lbar, G @ K)
+        phi_hat = np.kron(eye, Tinv) @ phi @ np.kron(eye, T)
+    if not np.isfinite(phi_hat).all():
+        return math.nan if np.isnan(phi_hat).any() else math.inf
     return numerics.max_singular_value(phi_hat)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import ContractionCertificate, PlantModel, _gain_pair, certify_gain
+from .certify import ContractionCertificate, PlantModel, _certify, _gain_pair, _transform_inverse
 from .graph import WeightedDigraph, laplacian, pool_band, random_balanced_graph
 from .synthesis import GainDesign
 
@@ -65,9 +65,11 @@ H_MIN_FRACTION = 1e-3
 # its steps (2.5 blocks at 5 steps a block) when all its runs share one
 # topology, less with more groups
 _BLOCK_ENTRIES = 1 << 20
-# a random pool holds pool_size dense n_agents x n_agents weight matrices;
-# one of more entries (512 MB of them) is refused before any graph is drawn
-_POOL_ENTRIES = 1 << 26
+# a random pool holds pool_size dense n_agents x n_agents weight matrices,
+# and a batch its per-run arrays (``SimulationConfig`` counts them): either
+# with more entries than this (512 MB of floats) is refused before any of
+# them is allocated
+_MAX_ENTRIES = 1 << 26
 
 
 class UncertifiedGainError(RuntimeError):
@@ -110,14 +112,17 @@ class SimulationConfig:
     """Complete description of one reproducible batch experiment.
 
     The gain is exactly one of ``design`` or a raw ``gain`` with an optional
-    ``transform`` (the identity when None); ``K`` and ``T`` are derived from
-    it by the rule of ``certify_gain``, and T enters the certificate and the
-    reduced norm.  ``topology`` is an explicit pool of balanced spanning-tree
-    graphs or a TopologyRecipe.  All randomness derives from ``seed``.
-    ``switch_period`` defaults to 50 steps (a config file without one never
-    switches).  ``band`` is derived too: the recipe's band, or the eigenvalue
-    band of the pool, which the certificate covers.  Frozen, since a reassigned
-    field would leave them stale (``dataclasses.replace`` derives them afresh).
+    ``transform`` (the identity when None); ``gain_pair``, its checked K, T
+    and T^-1, is derived from it once by the rule of ``certify_gain``, and
+    serves the certificate, the steps and the reduced norm of ``run``.
+    ``topology`` is an explicit pool of balanced spanning-tree graphs or a
+    TopologyRecipe.  All randomness derives from ``seed``.  ``switch_period``
+    defaults to 50 steps (a config file without one never switches).
+    ``band`` is derived too: the recipe's band, or the eigenvalue band of the
+    pool, which the certificate covers.  Frozen, since a reassigned field
+    would leave them stale (``dataclasses.replace`` derives them afresh).  A
+    batch whose arrays in ``run`` would hold more than ``_MAX_ENTRIES``
+    entries is refused.
     """
 
     n_agents: int
@@ -136,8 +141,7 @@ class SimulationConfig:
     record_states: bool = False
     verify_step_forms: bool = False
     band: tuple[float, float] = field(init=False)
-    K: np.ndarray = field(init=False)
-    T: np.ndarray = field(init=False)
+    gain_pair: tuple = field(init=False)
 
     def __post_init__(self):
         # pools first, so a bad pool fails with pool_band's message, as in certify
@@ -152,6 +156,17 @@ class SimulationConfig:
             raise ValueError("consensus needs at least two agents")
         if self.steps < 1 or self.runs < 1:
             raise ValueError("steps and runs must be at least 1")
+        # t, delta, nu, h and topology per run and instant, the state, and
+        # every state when it is recorded
+        instants, state = self.runs * (self.steps + 1), self.n_agents * self.plant.n
+        entries = instants * (5 + (state if self.record_states else 0)) + self.runs * state
+        if entries > _MAX_ENTRIES:
+            states = ", states recorded," if self.record_states else ""
+            raise ValueError(
+                f"a batch of runs = {self.runs} x steps = {self.steps} of {self.n_agents} "
+                f"agents{states} holds {entries} array entries, more than the "
+                f"{_MAX_ENTRIES} a batch may hold"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.hbar) and self.hbar > 0.0):
@@ -160,9 +175,8 @@ class SimulationConfig:
             object.__setattr__(self, "h_min", self.hbar * H_MIN_FRACTION)
         if not (0.0 < self.h_min < self.hbar):
             raise ValueError("need 0 < h_min < hbar")
-        K, T = _gain_pair(self.plant, design=self.design, gain=self.gain, transform=self.transform)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "T", T)
+        pair = _gain_pair(self.plant, design=self.design, gain=self.gain, transform=self.transform)
+        object.__setattr__(self, "gain_pair", pair)
         if self.switch_period is not None and self.switch_period < 1:
             raise ValueError("switch_period must be positive (or None to never switch)")
         if len(self.init_bounds) != self.plant.n:
@@ -342,7 +356,7 @@ def _one_run(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape != (g.n, plant.n):
         raise ValueError(f"state must be {g.n}x{plant.n}, got {X.shape}")
-    K, _ = _gain_pair(plant, gain=K)
+    K = _gain_pair(plant, gain=K).K
     if not h > 0.0:
         raise ValueError("h must be positive")
     F, G = plant.discretize(h)
@@ -393,11 +407,13 @@ def reduced_norm(state, basis: np.ndarray, T) -> float:
     xi is the projection of the stacked state onto the disagreement
     subspace spanned by ``basis`` (``graph.reduction_basis``); the norm is
     zero exactly at agreement and contracts strictly under a certified gain.
+    T goes through the T check of the gain rule (``certify._gain_pair``), so
+    a T it refuses raises its ValueError here too.
     """
     X = np.asarray(state, dtype=float)
     if X.ndim != 2 or X.shape[0] != basis.shape[0]:
         raise ValueError(f"state must have {basis.shape[0]} rows, got {X.shape}")
-    Tinv = np.linalg.inv(np.asarray(T, dtype=float))
+    Tinv = _transform_inverse(np.asarray(T, dtype=float), X.shape[1])
     # the state twice, as a block of two: its sums over agents add in the
     # order of every block of ``run``
     return float(_reduced_norms(np.stack([X, X], axis=1), Tinv)[0])
@@ -417,10 +433,10 @@ def _materialize_pool(config: SimulationConfig, pool_seed) -> list:
     if isinstance(config.topology, TopologyRecipe):
         recipe = config.topology
         weights = recipe.pool_size * config.n_agents**2
-        if weights > _POOL_ENTRIES:
+        if weights > _MAX_ENTRIES:
             raise ValueError(
                 f"pool_size = {recipe.pool_size} graphs of {config.n_agents} agents hold "
-                f"{weights} weights, more than the {_POOL_ENTRIES} a pool may hold"
+                f"{weights} weights, more than the {_MAX_ENTRIES} a pool may hold"
             )
         seq = np.random.SeedSequence(recipe.seed) if recipe.seed is not None else pool_seed
         return [
@@ -474,10 +490,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     t0 = time.perf_counter()
     pool = _materialize_pool(config, np.random.SeedSequence(config.seed, spawn_key=(0,)))
     t1 = time.perf_counter()
-    cert = certify_gain(
-        config.plant, config.hbar, config.band,
-        design=config.design, gain=config.gain, transform=config.transform,
-    )
+    cert = _certify(config.plant, config.hbar, config.band, config.gain_pair, config.design)
     if cert.verdict != "certified" and not force:
         raise UncertifiedGainError(
             f"gain is not certified for band {config.band} up to hbar={config.hbar} "
@@ -485,7 +498,6 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             cert,
         )
     t2 = time.perf_counter()
-    Tinv = np.linalg.inv(config.T)
     X, h, topology = _draw_streams(config, len(pool))
     runs, steps = h.shape
     t = np.zeros((runs, steps + 1))
@@ -512,7 +524,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             edges = [0, *np.cumsum(np.bincount(active, minlength=len(pool))).tolist()]
             slices = [(g, a, b) for g, (a, b) in enumerate(zip(edges, edges[1:])) if a < b]
             F, G = config.plant.discretize(h[order, start:stop].T)
-            GK = G @ config.K
+            GK = G @ config.gain_pair.K
             # every run advances in one block; its first state is the one at
             # `start`, so the metrics cover k = 0 too
             seg = _step_block(X[:, order], _coupling(pool, degrees, slices, X.shape), F, GK)
@@ -522,7 +534,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
                     gaps = _step_form_gaps(seg[:, :, a:b], laplacians[g], F[:, a:b], GK[:, a:b])
                     gap[order[a:b]] = np.maximum(gap[order[a:b]], gaps)
             delta[order, start:stop + 1] = _disagreements(seg).T
-            nu[order, start:stop + 1] = _reduced_norms(seg, Tinv).T
+            nu[order, start:stop + 1] = _reduced_norms(seg, config.gain_pair.Tinv).T
             if states is not None:
                 states[order, start:stop + 1] = seg.transpose(2, 1, 0, 3)
             del seg  # not alive while the next block is stepped

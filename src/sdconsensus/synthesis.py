@@ -83,32 +83,34 @@ def transform_matrix(mu1: float, mu2: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GainDesign:
-    """The design (mu1, mu2, k1, k2).  T = transform_matrix(mu1, mu2) and the
-    feedback row K = [k1, k2] T^-1 derive from it, as read-only arrays.  It
-    is a gain for the double-integrator plant only: ``certify_gain`` and
-    ``SimulationConfig`` refuse it for any other plant."""
+    """The design (mu1, mu2, k1, k2).  T = transform_matrix(mu1, mu2), Tinv
+    = T^-1 and K = [k1, k2] T^-1 derive from it as finite read-only arrays,
+    which the gain rule reuses.  A double-integrator gain: ``certify_gain``
+    and ``SimulationConfig`` refuse it for any other plant."""
 
     mu1: float
     mu2: float
     k1: float
     k2: float
     T: np.ndarray = field(init=False, compare=False, repr=False)
+    Tinv: np.ndarray = field(init=False, compare=False, repr=False)
     K: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
             raise ValueError("transformed gains k1 and k2 must be finite")
         T = transform_matrix(self.mu1, self.mu2)
-        with np.errstate(over="ignore"):
-            K = np.array([[self.k1, self.k2]]) @ np.linalg.inv(T)
+        Tinv = np.linalg.inv(T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = np.array([[self.k1, self.k2]]) @ Tinv
+        # k1 and k2 are finite, so K is finite only with T and T^-1 finite
         if not np.isfinite(K).all():
             raise ValueError(
                 f"K = [k1, k2] T^-1 is not finite for mu1 = {self.mu1!r}, mu2 = {self.mu2!r}"
             )
-        T.setflags(write=False)
-        K.setflags(write=False)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "K", K)
+        for name, M in (("T", T), ("Tinv", Tinv), ("K", K)):
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
 
 
 def _check_mu(mu1: float, mu2: float) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -582,6 +583,9 @@ def test_a_complex_set_keeps_its_grid_certificate(di_plant, example1_design):
         by_design = certify_gain(di_plant, 3.0, values, design=dsn)
         assert by_design == certify_grid(di_plant, dsn.K, dsn.T, 3.0, values)
         assert (by_design.method, by_design.grid_shape) == ("grid-sample", (200, 4))
+    # the lambdas are read once, so an iterator serves a design as a list does
+    once = certify_gain(di_plant, 3.0, iter(lambdas), design=dsn)
+    assert once == certify_gain(di_plant, 3.0, lambdas, design=dsn)
 
 
 @pytest.mark.parametrize("cap", [3, 12])
@@ -601,10 +605,9 @@ def test_chunked_eigenvalue_grid_matches_row_loop(monkeypatch, di_plant, example
 def full_set_report(plant, K, T, hbar, nh, lambdas) -> str:
     """Oracle for a complex set's grid report: ``_worst_sample`` at every
     value of the set, as JSON so that signed zeros count."""
-    K = np.asarray(K, dtype=float)
-    T = np.eye(plant.n) if T is None else np.asarray(T, dtype=float)
+    pair = certify._gain_pair(plant, gain=K, transform=T)
     lam = np.asarray(lambdas, dtype=complex)
-    worst, point = certify._worst_sample(plant, K, T, hbar, nh, lam)
+    worst, point = certify._worst_sample(plant, pair, hbar, nh, lam)
     passed = worst <= 1.0 - certify._GUARD
     cert = ContractionCertificate(passed, worst, point, "grid-sample", (nh, len(lam)), certify._GUARD)
     return json.dumps(cert.to_dict())
@@ -804,6 +807,22 @@ def test_network_contraction_of_a_non_normal_balanced_digraph_bounds_each_mode(
         for h in [0.01, 0.3, 1.0]:
             got = network_contraction(di_plant, dsn.K, dsn.T, reduced_laplacian(g), h)
             assert got >= per_eigenvalue_sigma(g, dsn, h) - 1e-12
+
+
+@pytest.mark.parametrize(
+    "K, h, expected",
+    [(None, 1e155, math.nan), (None, 1e200, math.nan), ([[1e306, 1e306]], 3.0, math.inf)],
+)
+def test_network_contraction_of_finite_input_is_a_sigma(di_plant, example1_design, K, h, expected):
+    # an overflowing network matrix gives a nan or inf sigma, as certify_grid
+    # does at the same hbar; the suite turns a numpy warning into an error
+    dsn = example1_design
+    K = dsn.K if K is None else K
+    lbar = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    sigma = network_contraction(di_plant, K, dsn.T, lbar, h)
+    assert sigma == expected or (math.isnan(sigma) and math.isnan(expected))
+    verdict = certify_grid(di_plant, K, dsn.T, h, (1.0, 3.0)).verdict
+    assert verdict == ("inconclusive" if math.isnan(expected) else "refuted")
 
 
 def test_network_contraction_rejects_bad_shapes(di_plant, example1_design):

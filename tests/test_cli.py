@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sdconsensus import cli
+from sdconsensus import cli, sim
 from sdconsensus.certify import PlantModel
 from sdconsensus.sim import SimulationConfig, TopologyRecipe
 from sdconsensus.synthesis import DesignSpec, design
@@ -708,7 +708,8 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
 
 def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
     # each array below is larger than any x86-64 user address space (64 PiB
-    # even with 5-level paging), so numpy fails at once without touching memory
+    # even with 5-level paging): the batch's entry bound refuses the first two
+    # before anything is allocated, and numpy fails at once on the graph
     long_schedule = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
     long_schedule["schedule"]["steps"] = 1.0e15  # 100 runs x 1e15 intervals: 711 PiB
     many_runs = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
@@ -720,8 +721,10 @@ def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
     deep.write_text("[" * 2000 + "]" * 2000 + "\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     for command, path, message in (
-        ("simulate", write_yaml(tmp_path / "long.yaml", long_schedule), "Unable to allocate"),
-        ("simulate", write_yaml(tmp_path / "runs.yaml", many_runs), "Unable to allocate"),
+        ("simulate", write_yaml(tmp_path / "long.yaml", long_schedule),
+         f"a batch of runs = 100 x steps = {10**15} of 5 agents holds "),
+        ("simulate", write_yaml(tmp_path / "runs.yaml", many_runs),
+         f"a batch of runs = {10**15} x steps = 1000 of 5 agents holds "),
         ("certify", huge_graph, "Unable to allocate"),
         ("simulate", huge_graph, "Unable to allocate"),
         # PyYAML takes about a second to reach its recursion limit: one command only
@@ -981,6 +984,22 @@ def test_simulate_refuses_a_pool_past_its_weight_bound(tmp_path, capsys):
     assert err.endswith(f" weights, more than the {1 << 26} a pool may hold\n")
 
 
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_committed_batches_stay_far_inside_the_entry_bound(monkeypatch, name):
+    # with output.full_state on, each batch fits a third of the bound
+    # (example2: 20.5 million entries of 67.1 million)
+    monkeypatch.setattr(sim, "_MAX_ENTRIES", (1 << 26) // 3)
+    resolved, plant, gain, topology, n_agents = cli._load(
+        cli.load_config(CONFIG_DIR / f"{name}.yaml"), CONFIG_DIR
+    )
+    cfg = SimulationConfig(
+        n_agents=n_agents, plant=plant, hbar=resolved["sampling"]["hbar"],
+        steps=resolved["schedule"]["steps"], runs=resolved["batch"]["runs"],
+        seed=resolved["batch"]["seed"], topology=topology, record_states=True, **gain,
+    )
+    assert (cfg.runs, cfg.steps) == (100, 1000)
+
+
 def schema_fields(table=cli._SCHEMA, prefix=()):
     """Every section and field path of the config schema, nested ones included."""
     for key, (coerce, _) in table.items():
@@ -1015,9 +1034,11 @@ def test_no_bad_schema_value_escapes_main(tmp_path, capsys, monkeypatch):
     # values at the limits in every number leaf, of a design and of a
     # raw-gain config, end in a verdict, a refusal or exit 2, never in a
     # traceback or a numpy warning: finite floats at the float limits, and
-    # integers past any array size (a pool, a batch array), which are refused
-    # before anything of that size is allocated.  The file reader is
-    # bypassed, since YAML parsing would take most of the time.
+    # large integers.  In a leaf that sizes a pool or a batch, 10**9 would
+    # take gigabytes and 2**62 more than any address space; the pool's and
+    # the batch's entry bounds refuse both before anything of that size is
+    # allocated.  The file reader is bypassed, since YAML parsing would take
+    # most of the time.
     design_cfg = dict(
         base,
         topology={"random": {"agents": 3, "lambda_band": [0.3, 6.0], "edge_prob": 0.3,
@@ -1037,7 +1058,7 @@ def test_no_bad_schema_value_escapes_main(tmp_path, capsys, monkeypatch):
         leaves = list(int_leaves(cfg))
         assert len(leaves) == 7  # agents, pool_size, both seeds, steps, switch_period, runs
         for leaf in leaves:
-            for value in (2**62, 10**400, 0):
+            for value in (10**9, 2**62, 10**400, 0):
                 configs.append((leaf, value, replaced(cfg, leaf, value)))
     configs.append(("both init ends", 1e308,
                     replaced(design_cfg, ("init", "bounds", 0), [-1e308, 1e308])))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdconsensus import sim
-from sdconsensus.certify import PlantModel
+from sdconsensus.certify import PlantModel, certify_gain
 from sdconsensus.graph import (
     WeightedDigraph,
     laplacian,
@@ -236,6 +236,24 @@ def test_reduced_norm_rejects_a_state_of_the_wrong_size(example1_design):
         reduced_norm(np.zeros((3, 2)), reduction_basis(4), example1_design.T)
 
 
+@pytest.mark.parametrize(
+    "T, message",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], "T must have finite entries"),
+        ([[1e-310, 0.0], [0.0, 1.0]], "T must be invertible"),  # its inverse overflows
+        ([[1.0, 2.0], [2.0, 4.0]], "T must be invertible"),
+        (np.eye(3), "T must be square with the plant dimension"),
+    ],
+)
+def test_reduced_norm_applies_the_gain_rules_t_check(T, message):
+    # the T that the gain rule refuses, never a silent nan
+    x = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reduced_norm(x, reduction_basis(5), T)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certify_gain(PlantModel.double_integrator(), 1.0, (1.0, 2.0), gain=[[0.1, 0.2]], transform=T)
+
+
 def test_reduced_norm_homogeneous(example1_design):
     rng = np.random.default_rng(9)
     basis = reduction_basis(5)
@@ -396,6 +414,35 @@ def test_run_refuses_a_pool_past_its_weight_bound_before_drawing(
         run(cfg)
 
 
+# small_config has 5 agents of 2 states: a run holds 5 (steps + 1) entries
+# of t, delta, nu, h and topology and 10 of state, 10 (steps + 1) more with
+# recorded states
+@pytest.mark.parametrize("overrides, entries", [
+    (dict(runs=1, steps=13421770), (1 << 26) + 1),  # one entry past the bound
+    (dict(runs=5, steps=10**6, record_states=True), 5 * (15 * (10**6 + 1) + 10)),
+    (dict(runs=10**9), 10**9 * (5 * 61 + 10)),
+    (dict(steps=10**400), 3 * (5 * (10**400 + 1) + 10)),
+    (dict(n_agents=10**9), 3 * 61 * 5 + 3 * 2 * 10**9),
+], ids=["one-past", "recorded-states", "huge-runs", "huge-steps", "huge-n-agents"])
+def test_config_refuses_a_batch_past_its_entry_bound(example1_design, overrides, entries):
+    # refused as it is built: run would allocate gigabytes and more
+    with pytest.raises(ValueError) as caught:
+        small_config(design=example1_design, **overrides)
+    runs, steps = overrides.get("runs", 3), overrides.get("steps", 60)
+    states = ", states recorded," if overrides.get("record_states") else ""
+    assert str(caught.value) == (
+        f"a batch of runs = {runs} x steps = {steps} of {overrides.get('n_agents', 5)} "
+        f"agents{states} holds {entries} array entries, more than the {1 << 26} a batch may hold"
+    )
+
+
+def test_config_admits_a_batch_at_its_entry_bound(example1_design):
+    # 5 (steps + 1) + 10 = 2^26 - 4 entries: built, never run
+    small_config(design=example1_design, runs=1, steps=13421769)
+    # the same runs fit without recorded states
+    small_config(design=example1_design, runs=5, steps=10**6)
+
+
 def test_run_explicit_pool_and_states(example1_design):
     pool = [pair_graph(0.5), pair_graph(1.5)]
     cfg = SimulationConfig(
@@ -532,7 +579,7 @@ def test_run_metrics_equal_the_public_helpers(n, example1_design):
         assert rec.states.shape == (24, n, cfg.plant.n)
         for k, x in enumerate(rec.states):
             assert rec.delta[k] == disagreement(x)
-            assert rec.nu[k] == reduced_norm(x, basis, cfg.T)
+            assert rec.nu[k] == reduced_norm(x, basis, cfg.gain_pair.T)
 
 
 @pytest.mark.parametrize("n", [5, 100])
@@ -677,7 +724,7 @@ def test_run_matches_step_by_step_reference(case, example1_design):
     if cfg.design is not None:
         K, T = cfg.design.K, cfg.design.T
     else:
-        K, T = cfg.K, cfg.T
+        K, T = cfg.gain_pair.K, cfg.gain_pair.T
     refs = _reference_run(cfg, result.pool, K, T)
     assert len(result.records) == len(refs) == cfg.runs
     for rec, (t, h, topo, delta, nu, states) in zip(result.records, refs):
@@ -734,12 +781,25 @@ def test_config_rejects_a_transform_next_to_a_design(example1_design):
 def test_config_derives_its_gain_pair_and_is_frozen(example1_design):
     cfg = small_config(gain=example1_design.K)
     assert cfg.transform is None
-    np.testing.assert_array_equal(cfg.T, np.eye(2))
-    # an assignment would leave K, T and band stale; replace derives them again
+    np.testing.assert_array_equal(cfg.gain_pair.T, np.eye(2))
+    np.testing.assert_array_equal(cfg.gain_pair.Tinv, np.eye(2))
+    # an assignment would leave the gain pair and band stale; replace derives
+    # them again, T^-1 included, bit for bit that of the new T
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.gain = np.zeros((1, 2))
-    again = dataclasses.replace(cfg, transform=example1_design.T)
-    np.testing.assert_array_equal(again.T, example1_design.T)
+    T = np.array([[3.0, -7.1], [0.0, 2.0]])
+    again = dataclasses.replace(cfg, transform=T)
+    np.testing.assert_array_equal(again.gain_pair.T, T)
+    assert again.gain_pair.Tinv.tobytes() == np.linalg.inv(T).tobytes()
+    # the record copies the caller's arrays and none of them can be written
+    T[0, 0] = 1.0
+    assert again.gain_pair.T[0, 0] == 3.0
+    assert not any(M.flags.writeable for M in again.gain_pair)
+    # a design's record is the design's own arrays: T^-1 is not formed again
+    dsn = small_config(design=example1_design).gain_pair
+    assert dsn.K is example1_design.K and dsn.T is example1_design.T
+    assert dsn.Tinv is example1_design.Tinv
+    assert dsn.Tinv.tobytes() == np.linalg.inv(example1_design.T).tobytes()
 
 
 def test_config_rejects_unbalanced_pool(example1_design):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -315,9 +316,12 @@ def test_gain_design_validation():
 
 def test_gain_design_rejects_a_non_finite_K():
     # det T = 2 (mu2 - mu1): a subnormal difference passes 0 < mu1 < mu2
-    # but inv(T) overflows, and so can [k1, k2] inv(T) for huge gains
-    for args in [(5e-324, 1e-323, 0.1, 0.2), (1.0, 1.0 + 2**-52, 1e300, 1e300)]:
-        with pytest.raises(ValueError, match=f"mu1 = {args[0]!r}, mu2 = {args[1]!r}"):
+    # but inv(T) overflows, and so can [k1, k2] inv(T) for huge gains; a zero
+    # gain times an infinite inv(T) is nan, without a numpy warning; mu1 + mu2
+    # past the float range makes T non-finite
+    for args in [(5e-324, 1e-323, 0.1, 0.2), (1.0, 1.0 + 2**-52, 1e300, 1e300),
+                 (5e-324, 1e-323, 0.0, 0.0), (1e308, 1.7e308, 0.1, 0.2)]:
+        with pytest.raises(ValueError, match=re.escape(f"mu1 = {args[0]!r}, mu2 = {args[1]!r}")):
             GainDesign(*args)
 
 
