@@ -202,13 +202,13 @@ class _GainPair(NamedTuple):
     Tinv: np.ndarray
 
 
-def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None) -> _GainPair:
-    """The checked K, T and T^-1 a request uses: the one rule for a gain, and
-    the one owner of T^-1.  Exactly one of a ``design``, whose own arrays it
-    returns (``GainDesign`` inverts T to derive K), or a raw ``gain`` K, whose
-    ``transform`` T is the identity when None, else inverted once by the T
-    check.  A design serves the double-integrator plant only; this is the
-    one place that says so."""
+def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
+    """The checked record (K, T, T^-1) a request uses: the one rule for a
+    gain, and the one owner of T^-1.  Exactly one of a ``design``, which is
+    its own record (``GainDesign`` inverts T to derive K), or a raw ``gain``
+    K, whose ``transform`` T is the identity when None, else inverted once
+    by the T check, in a ``_GainPair``.  A design serves the
+    double-integrator plant only; this is the one place that says so."""
     if (design is None) == (gain is None):
         raise ValueError("exactly one of design or gain must be set")
     if design is not None:
@@ -219,7 +219,7 @@ def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None) -> 
             )
         if transform is not None:
             raise ValueError("transform goes with a raw gain; a design carries its own")
-        return _GainPair(design.K, design.T, design.Tinv)
+        return design
     K = np.array(gain, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")
@@ -250,7 +250,7 @@ def _transform_inverse(T: np.ndarray, n: int) -> np.ndarray:
 
 
 def _worst_sample(
-    plant: PlantModel, pair: _GainPair, hbar: float, nh: int, lam_samples: np.ndarray
+    plant: PlantModel, pair: GainDesign | _GainPair, hbar: float, nh: int, lam_samples: np.ndarray
 ) -> tuple[float, tuple[float, complex]]:
     """Largest singular value of T^-1 (F - lambda G K) T on the sample grid
     h = hbar / nh, ..., hbar by ``lam_samples``, and the (h, lambda) where it
@@ -310,8 +310,7 @@ def certify_double_integrator(spec: DesignSpec, dsn: GainDesign) -> ContractionC
     """
     nh, nl = _CONFIRM_GRID
     ends = _lambda_samples((spec.lambda2, spec.lambdaN))
-    plant = PlantModel.double_integrator()
-    worst, point = _worst_sample(plant, _gain_pair(plant, design=dsn), spec.hbar, nh, ends)
+    worst, point = _worst_sample(PlantModel.double_integrator(), dsn, spec.hbar, nh, ends)
     passed = check_gain_inequalities(spec, dsn)
     reached = "grid sample at or above one" if worst >= 1.0 else "no grid sample reached one"
     notes = "" if passed else f"gain inequalities violated; {reached}"
@@ -407,15 +406,15 @@ def certify_gain(
     therefore have one certificate, whoever asks.
     """
     pair = _gain_pair(plant, design=design, gain=gain, transform=transform)
-    return _certify(plant, hbar, lambdas, pair, design)
+    return _certify(plant, hbar, lambdas, pair)
 
 
-def _certify(plant, hbar, lambdas, pair: _GainPair, design=None, grid=_SAMPLE_GRID):
-    """``certify_gain``'s certificate of a checked ``pair`` (of ``design``, if
-    one), and ``certify_grid``'s with a ``grid``."""
+def _certify(plant, hbar, lambdas, pair, grid=_SAMPLE_GRID):
+    """``certify_gain``'s certificate of a checked record ``pair``, exact for
+    a ``GainDesign`` over real lambdas, and ``certify_grid``'s with a ``grid``."""
     lam_samples = _lambda_samples(lambdas)  # once: an iterator is read once
-    if design is not None and not np.iscomplexobj(lam_samples):
-        return certify_double_integrator(DesignSpec(hbar, *lam_samples.tolist()), design)
+    if isinstance(pair, GainDesign) and not np.iscomplexobj(lam_samples):
+        return certify_double_integrator(DesignSpec(hbar, *lam_samples.tolist()), pair)
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise ValueError("hbar must be positive and finite")
     nh, nl = grid

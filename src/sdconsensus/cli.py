@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .certify import PlantModel, _gain_pair, certify_gain
+from .certify import PlantModel, _certify, _gain_pair, certify_gain
 from .graph import WeightedDigraph, consensus_eigenvalues, has_spanning_tree
 from .numerics import repr_bytes
 from .sim import (
@@ -39,7 +39,7 @@ from .sim import (
     _topology_band,
     run,
 )
-from .synthesis import DesignSpec, design, is_feasible
+from .synthesis import DesignSpec, GainDesign, design, is_feasible
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -321,11 +321,11 @@ def read_graph_file(path) -> WeightedDigraph:
 
 
 def _load(raw: dict, base_dir: Path):
-    """(resolved config, plant, gain keywords, topology, n_agents) of a raw
+    """(resolved config, plant, gain record, topology, n_agents) of a raw
     config mapping, built and checked in that order by every command.
 
-    The gain keywords are those of SimulationConfig and certify_gain: a
-    design, or a raw gain K with its transform T (None for the identity).
+    The gain record is the one ``certify._gain_pair`` returns: the design
+    itself, or a raw gain's checked K, T and T^-1, its T inverted here once.
     The topology is a TopologyRecipe with its agent count, the pool of the
     graph files (paths relative to ``base_dir``) with its node count, or
     None without a topology section.
@@ -334,29 +334,25 @@ def _load(raw: dict, base_dir: Path):
     if resolved["plant"]["kind"] == "double_integrator":
         plant = PlantModel.double_integrator()
     else:
-        A, B = resolved["plant"]["A"], resolved["plant"]["B"]
-        plant = PlantModel.general(np.array(A), np.array(B))
-    if resolved["design"] is not None:
+        plant = PlantModel.general(resolved["plant"]["A"], resolved["plant"]["B"])
+    if resolved["design"] is not None:  # the library's gain rule, before the topology
         band = resolved["design"]["lambda2"], resolved["design"]["lambdaN"]
-        gain = {"design": design(DesignSpec(resolved["sampling"]["hbar"], *band))}
+        record = _gain_pair(plant, design=design(DesignSpec(resolved["sampling"]["hbar"], *band)))
     else:
-        T = resolved["gain"]["T"]
-        gain = {"gain": np.array(resolved["gain"]["K"]),
-                "transform": None if T is None else np.array(T)}
-    _gain_pair(plant, **gain)  # the library's gain rule, before the topology
+        record = _gain_pair(plant, gain=resolved["gain"]["K"], transform=resolved["gain"]["T"])
     topo = resolved["topology"]
     if topo is None:
-        return resolved, plant, gain, None, None
+        return resolved, plant, record, None, None
     if "random" in topo:
         r = topo["random"]
         recipe = TopologyRecipe(
             r["lambda_band"][0], r["lambda_band"][1],
             pool_size=r["pool_size"], seed=r["seed"], edge_prob=r["edge_prob"],
         )
-        return resolved, plant, gain, recipe, r["agents"]
+        return resolved, plant, record, recipe, r["agents"]
     # the pool rule (not empty, one node count, ...) is graph.pool_band's
     pool = [read_graph_file(base_dir / p) for p in topo["graphs"]]
-    return resolved, plant, gain, pool, pool[0].n if pool else 0
+    return resolved, plant, record, pool, pool[0].n if pool else 0
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +480,7 @@ def cmd_certify(args) -> int:
         raw = {"design": {"lambda2": args.lambda2, "lambdaN": args.lambdaN},
                "sampling": {"hbar": args.hbar}}
         base_dir = Path()
-    resolved, plant, gain, topology, _ = _load(raw, base_dir)
+    resolved, plant, record, topology, _ = _load(raw, base_dir)
     if resolved["certify"]["mode"] == "fixed":
         if not isinstance(topology, list) or len(topology) != 1:
             raise ConfigError("fixed mode needs topology.graphs with exactly one graph")
@@ -499,7 +495,7 @@ def cmd_certify(args) -> int:
         lambdas = (resolved["design"]["lambda2"], resolved["design"]["lambdaN"])
     else:
         raise ConfigError("no eigenvalue band available: give design or topology")
-    cert = certify_gain(plant, resolved["sampling"]["hbar"], lambdas, **gain)
+    cert = _certify(plant, resolved["sampling"]["hbar"], lambdas, record)
     if args.report is not None:
         digest = {} if args.config is None else {"config_digest": config_digest(resolved)}
         _write_json(args.report, {**cert.to_dict(), **digest})
@@ -518,11 +514,14 @@ def cmd_simulate(args) -> int:
     bound = args.assert_convergence
     if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
         raise ConfigError("--assert-convergence needs a finite R >= 0")
-    resolved, plant, gain, topology, n_agents = _load(
+    resolved, plant, record, topology, n_agents = _load(
         load_config(args.config), Path(args.config).parent
     )
     if topology is None:
         raise ConfigError("topology section is required")
+    # SimulationConfig applies the gain rule itself: a raw T is inverted again
+    gain = ({"design": record} if isinstance(record, GainDesign) else
+            {"gain": record.K, "transform": None if resolved["gain"]["T"] is None else record.T})
     config = SimulationConfig(
         n_agents=n_agents,
         plant=plant,

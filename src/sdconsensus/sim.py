@@ -113,7 +113,8 @@ class SimulationConfig:
 
     The gain is exactly one of ``design`` or a raw ``gain`` with an optional
     ``transform`` (the identity when None); ``gain_pair``, its checked K, T
-    and T^-1, is derived from it once by the rule of ``certify_gain``, and
+    and T^-1, is derived from it by the rule of ``certify_gain`` (the design
+    itself, or a raw T inverted here even if a caller has checked it), and
     serves the certificate, the steps and the reduced norm of ``run``.
     ``topology`` is an explicit pool of balanced spanning-tree graphs or a
     TopologyRecipe.  All randomness derives from ``seed``.  ``switch_period``
@@ -141,7 +142,7 @@ class SimulationConfig:
     record_states: bool = False
     verify_step_forms: bool = False
     band: tuple[float, float] = field(init=False)
-    gain_pair: tuple = field(init=False)
+    gain_pair: GainDesign | tuple = field(init=False)
 
     def __post_init__(self):
         # pools first, so a bad pool fails with pool_band's message, as in certify
@@ -490,7 +491,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     t0 = time.perf_counter()
     pool = _materialize_pool(config, np.random.SeedSequence(config.seed, spawn_key=(0,)))
     t1 = time.perf_counter()
-    cert = _certify(config.plant, config.hbar, config.band, config.gain_pair, config.design)
+    cert = _certify(config.plant, config.hbar, config.band, config.gain_pair)
     if cert.verdict != "certified" and not force:
         raise UncertifiedGainError(
             f"gain is not certified for band {config.band} up to hbar={config.hbar} "

@@ -989,13 +989,13 @@ def test_committed_batches_stay_far_inside_the_entry_bound(monkeypatch, name):
     # with output.full_state on, each batch fits a third of the bound
     # (example2: 20.5 million entries of 67.1 million)
     monkeypatch.setattr(sim, "_MAX_ENTRIES", (1 << 26) // 3)
-    resolved, plant, gain, topology, n_agents = cli._load(
+    resolved, plant, dsn, topology, n_agents = cli._load(
         cli.load_config(CONFIG_DIR / f"{name}.yaml"), CONFIG_DIR
     )
     cfg = SimulationConfig(
         n_agents=n_agents, plant=plant, hbar=resolved["sampling"]["hbar"],
         steps=resolved["schedule"]["steps"], runs=resolved["batch"]["runs"],
-        seed=resolved["batch"]["seed"], topology=topology, record_states=True, **gain,
+        seed=resolved["batch"]["seed"], topology=topology, record_states=True, design=dsn,
     )
     assert (cfg.runs, cfg.steps) == (100, 1000)
 
@@ -1142,6 +1142,16 @@ def test_sweep_single_cell_matches_design(capsys, example1_design):
     cells = rows[1].split(",")
     assert float(cells[5]) == pytest.approx(example1_design.k1, rel=1e-12)
     assert cells[9] == "certified"
+
+
+def test_sweep_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, capsys):
+    axes = ["sweep", "--hbar-axis", "0.5", "3", "4", "--ratio-axis", "1", "20", "4"]
+    assert cli.main(axes) == cli.EXIT_OK
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "sweep.csv"
+    assert cli.main([*axes, "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert len(printed.splitlines()) == 17 and out.read_bytes() == printed
 
 
 def test_sweep_degenerate_range_single_row(capsys):

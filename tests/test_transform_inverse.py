@@ -1,18 +1,23 @@
 """T^-1 has one owner: the gain rule forms it once per request.
 
-A design's inverse is the one ``GainDesign`` forms to derive K; a raw T is
-inverted once, by the T check of ``certify._gain_pair``.  Every consumer
-(the certificates, ``network_contraction``, ``SimulationConfig`` and
-``sim.run``) takes the checked record and inverts nothing.
+A design is its own record: its inverse is the one ``GainDesign`` forms to
+derive K.  A raw T is inverted once, by the T check of
+``certify._gain_pair``.  Every consumer (the certificates,
+``network_contraction`` and ``sim.run``) takes the checked record and
+inverts nothing.  ``simulate`` is two requests for a raw T: the CLI checks
+the config's gain, and ``SimulationConfig`` applies the rule to its own
+arguments.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from sdconsensus import cli
+from sdconsensus import certify, cli
 from sdconsensus.certify import PlantModel, certify_gain
 from sdconsensus.sim import SimulationConfig, TopologyRecipe, run
 
@@ -69,6 +74,13 @@ def test_simulate_inverts_t_once(inversions, tmp_path, capsys):
     assert len(inversions) == 1
 
 
+def test_certify_config_inverts_t_once_for_a_design(inversions, capsys):
+    path = ROOT / "configs" / "example1.yaml"
+    assert cli.main(["certify", "--config", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(inversions) == 1
+
+
 def test_certify_gain_inverts_a_raw_t_once_and_a_design_never(inversions, example1_design):
     plant = PlantModel.double_integrator()
     cert = certify_gain(plant, 3.0, (0.3, 6.0), design=example1_design)
@@ -85,3 +97,40 @@ def test_a_config_and_its_run_invert_nothing_for_a_design(inversions, example1_d
     )
     assert run(cfg).certificate.verdict == "certified"
     assert inversions == []
+
+
+def raw_gain_config(tmp_path) -> str:
+    """A small example1 batch with README's raw gain K under its T."""
+    cfg = yaml.safe_load((ROOT / "configs" / "example1.yaml").read_text(encoding="utf-8"))
+    del cfg["design"]
+    cfg["gain"] = {"K": [[0.0009, 0.1093]], "T": [[118.0, -121.0], [0.0, 2.0]]}
+    cfg["schedule"], cfg["batch"]["runs"] = {"steps": 20, "switch_period": 10}, 2
+    path = tmp_path / "raw.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    return str(path)
+
+
+def test_certify_config_inverts_a_raw_t_once(inversions, tmp_path, capsys):
+    assert cli.main(["certify", "--config", raw_gain_config(tmp_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("verdict: certified (method grid-sample)")
+    assert len(inversions) == 1
+
+
+def test_simulate_inverts_a_raw_t_twice(inversions, tmp_path, capsys):
+    path = raw_gain_config(tmp_path)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    capsys.readouterr()
+    # once by the early check of the config, once by SimulationConfig, a
+    # public constructor that applies the gain rule to its own arguments
+    assert len(inversions) == 2
+
+
+def test_a_design_is_its_own_record(example1_design):
+    plant = PlantModel.double_integrator()
+    dsn = example1_design
+    assert certify._gain_pair(plant, design=dsn) is dsn
+    assert certify._certify(plant, 3.0, (0.3, 6.0), dsn).method == "exact-inequality"
+    pair = certify._gain_pair(plant, gain=dsn.K, transform=dsn.T)
+    assert certify._certify(plant, 3.0, (0.3, 6.0), pair).method == "grid-sample"
+    # the record alone picks the certificate: no design travels beside it
+    assert "design" not in inspect.signature(certify._certify).parameters
