@@ -204,10 +204,10 @@ class _GainPair(NamedTuple):
 
 def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
     """The checked record (K, T, T^-1) a request uses: the one rule for a
-    gain, and the one owner of T^-1.  Exactly one of a ``design``, which is
-    its own record (``GainDesign`` inverts T to derive K), or a raw ``gain``
-    K, whose ``transform`` T is the identity when None, else inverted once
-    by the T check, in a ``_GainPair``.  A design serves the
+    gain, and the one owner of T^-1.  Exactly one of a ``design``, its own
+    record (``GainDesign`` inverts T to derive K), or a ``gain``: a record
+    this rule built, passed through, or a raw K whose ``transform`` T (the
+    identity when None) the T check inverts once.  A design serves the
     double-integrator plant only; this is the one place that says so."""
     if (design is None) == (gain is None):
         raise ValueError("exactly one of design or gain must be set")
@@ -220,6 +220,8 @@ def _gain_pair(plant: PlantModel, *, design=None, gain=None, transform=None):
         if transform is not None:
             raise ValueError("transform goes with a raw gain; a design carries its own")
         return design
+    if isinstance(gain, _GainPair) and transform is None:  # a record this rule built
+        return gain
     K = np.array(gain, dtype=float)
     if K.shape != (plant.m, plant.n):
         raise ValueError(f"K must be {plant.m}x{plant.n}, got {K.shape}")

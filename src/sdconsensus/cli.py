@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, sim
 from .certify import PlantModel, _certify, _gain_pair, certify_gain
 from .graph import WeightedDigraph, consensus_eigenvalues, has_spanning_tree
 from .numerics import repr_bytes
@@ -257,7 +257,7 @@ def config_digest(resolved: dict) -> str:
 # graph interchange files
 
 
-def read_graph_file(path) -> WeightedDigraph:
+def read_graph_file(path, pooled: int = 0) -> WeightedDigraph:
     """Read the plain-text graph format.
 
     First non-comment line: the node count, optionally followed by the word
@@ -265,7 +265,9 @@ def read_graph_file(path) -> WeightedDigraph:
     finite weight w >= 0 carrying agent j's state to agent i != j.  Under
     ``symmetric`` each pair is listed once and installed in both directions.
     A link listed twice (under ``symmetric``, as ``i j`` and ``j i`` too) is
-    an error.  Every error names the file and its line.
+    an error.  Every error names the file and its line.  ``pooled`` counts
+    the weights of the pool's earlier files: a header that takes the pool
+    past ``sim._MAX_ENTRIES`` weights is refused before any is allocated.
     """
     lines = []
     with open(path, "r", encoding="utf-8-sig") as f:
@@ -284,6 +286,11 @@ def read_graph_file(path) -> WeightedDigraph:
     if n is None or n < 1 or head[1:] not in ([], ["symmetric"]):
         raise ConfigError(
             f"{path}, line {number}: bad header {text!r}, expected 'n' or 'n symmetric'"
+        )
+    if pooled + n * n > sim._MAX_ENTRIES:
+        raise ConfigError(
+            f"{path}, line {number}: header {text!r} brings the pool to {pooled + n * n} "
+            f"weights, more than the {sim._MAX_ENTRIES} a pool may hold"
         )
     symmetric = len(head) == 2
     edges, first_line = [], {}
@@ -325,7 +332,7 @@ def _load(raw: dict, base_dir: Path):
     config mapping, built and checked in that order by every command.
 
     The gain record is the one ``certify._gain_pair`` returns: the design
-    itself, or a raw gain's checked K, T and T^-1, its T inverted here once.
+    itself, or a raw gain's checked K, T and T^-1 (T inverted here, once per request).
     The topology is a TopologyRecipe with its agent count, the pool of the
     graph files (paths relative to ``base_dir``) with its node count, or
     None without a topology section.
@@ -351,7 +358,10 @@ def _load(raw: dict, base_dir: Path):
         )
         return resolved, plant, record, recipe, r["agents"]
     # the pool rule (not empty, one node count, ...) is graph.pool_band's
-    pool = [read_graph_file(base_dir / p) for p in topo["graphs"]]
+    pool, pooled = [], 0
+    for p in topo["graphs"]:
+        pool.append(read_graph_file(base_dir / p, pooled))
+        pooled += pool[-1].n ** 2
     return resolved, plant, record, pool, pool[0].n if pool else 0
 
 
@@ -519,9 +529,6 @@ def cmd_simulate(args) -> int:
     )
     if topology is None:
         raise ConfigError("topology section is required")
-    # SimulationConfig applies the gain rule itself: a raw T is inverted again
-    gain = ({"design": record} if isinstance(record, GainDesign) else
-            {"gain": record.K, "transform": None if resolved["gain"]["T"] is None else record.T})
     config = SimulationConfig(
         n_agents=n_agents,
         plant=plant,
@@ -534,7 +541,7 @@ def cmd_simulate(args) -> int:
         topology=topology,
         init_bounds=tuple(tuple(b) for b in resolved["init"]["bounds"]),
         record_states=resolved["output"]["full_state"],
-        **gain,
+        **{"design" if isinstance(record, GainDesign) else "gain": record},
     )
     t_built = time.perf_counter()
     try:
@@ -595,6 +602,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# a sweep axis has at most this many points, and its grid at most this many
+# cells: every row is kept until the last cell is done
+_MAX_POINTS = 10**6
+
+
 def _axis(
     name: str, lo: float, hi: float, n: float, bound: float = -math.inf, strict: bool = False
 ) -> np.ndarray:
@@ -604,9 +616,9 @@ def _axis(
         raise ConfigError(f"{name} needs finite lo and hi, got {lo!r} and {hi!r}")
     if n % 1:
         raise ConfigError(f"{name} needs a whole number of points, got {n!r}")
-    if not (1 <= n <= 10**6 and lo <= hi):
+    if not (1 <= n <= _MAX_POINTS and lo <= hi):
         raise ConfigError(
-            f"{name} needs lo <= hi and 1 to 1000000 points, got {lo!r}, {hi!r}, {n!r}"
+            f"{name} needs lo <= hi and 1 to {_MAX_POINTS} points, got {lo!r}, {hi!r}, {n!r}"
         )
     if lo < bound or (strict and lo == bound):
         raise ConfigError(f"{name} needs LO {'>' if strict else '>='} {bound:g}, got {lo!r}")
@@ -618,6 +630,11 @@ def _axis(
 def cmd_sweep(args) -> int:
     hbars = _axis("--hbar-axis", *args.hbar_axis, bound=0.0, strict=True)
     ratios = _axis("--ratio-axis", *args.ratio_axis, bound=1.0, strict=False)
+    if len(hbars) * len(ratios) > _MAX_POINTS:
+        raise ConfigError(
+            f"--hbar-axis x --ratio-axis is {len(hbars)} x {len(ratios)} = "
+            f"{len(hbars) * len(ratios)} cells, more than the {_MAX_POINTS} a sweep may hold"
+        )
     if (args.mu1 is None) != (args.mu2 is None):
         raise ConfigError("give both --mu1 and --mu2 or neither")
     # checked once here, so that no cell is blamed for a flag
@@ -707,7 +724,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # unusable input in any command: exit 2 with a one-line message, no traceback
 # (ConfigError and the graph rules' errors are ValueErrors); a MemoryError is
-# a config asking for more memory than the machine has
+# a request within the bounds that still needs more memory than the machine
+# has, such as a batch near ``sim._MAX_ENTRIES`` entries on a small machine
 _USAGE_ERRORS = (ValueError, TypeError, OSError, MemoryError, yaml.YAMLError)
 
 

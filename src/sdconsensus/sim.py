@@ -114,8 +114,8 @@ class SimulationConfig:
     The gain is exactly one of ``design`` or a raw ``gain`` with an optional
     ``transform`` (the identity when None); ``gain_pair``, its checked K, T
     and T^-1, is derived from it by the rule of ``certify_gain`` (the design
-    itself, or a raw T inverted here even if a caller has checked it), and
-    serves the certificate, the steps and the reduced norm of ``run``.
+    itself, a record that rule built passed as ``gain``, or a raw T inverted
+    here), and serves the certificate, the steps and the reduced norm of ``run``.
     ``topology`` is an explicit pool of balanced spanning-tree graphs or a
     TopologyRecipe.  All randomness derives from ``seed``.  ``switch_period``
     defaults to 50 steps (a config file without one never switches).
@@ -486,7 +486,7 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
     from children 0 and r + 1 of the batch seed, so results are
     deterministic and independent of execution order.  Each child is made
     when it is needed, equal to the one ``SeedSequence(seed).spawn`` returns,
-    so a huge ``runs`` fails at the first batch array, not in a list of seeds.
+    so no list of seeds grows with ``runs``.
     """
     t0 = time.perf_counter()
     pool = _materialize_pool(config, np.random.SeedSequence(config.seed, spawn_key=(0,)))

@@ -709,7 +709,7 @@ def test_simulate_bad_config_exits_usage(tmp_path, capsys):
 def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
     # each array below is larger than any x86-64 user address space (64 PiB
     # even with 5-level paging): the batch's entry bound refuses the first two
-    # before anything is allocated, and numpy fails at once on the graph
+    # and the pool's bound the graph from its header, before anything is allocated
     long_schedule = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
     long_schedule["schedule"]["steps"] = 1.0e15  # 100 runs x 1e15 intervals: 711 PiB
     many_runs = yaml.safe_load((CONFIG_DIR / "example1.yaml").read_text(encoding="utf-8"))
@@ -725,8 +725,10 @@ def test_configs_beyond_memory_or_recursion_exit_usage(tmp_path, capsys):
          f"a batch of runs = 100 x steps = {10**15} of 5 agents holds "),
         ("simulate", write_yaml(tmp_path / "runs.yaml", many_runs),
          f"a batch of runs = {10**15} x steps = 1000 of 5 agents holds "),
-        ("certify", huge_graph, "Unable to allocate"),
-        ("simulate", huge_graph, "Unable to allocate"),
+        ("certify", huge_graph, f"{tmp_path / 'huge.graph'}, line 1: header "
+         f"'300000000 symmetric' brings the pool to {300000000**2} weights, more than the "
+         f"{sim._MAX_ENTRIES} a pool may hold"),
+        ("simulate", huge_graph, f"{tmp_path / 'huge.graph'}, line 1: header "),
         # PyYAML takes about a second to reach its recursion limit: one command only
         ("certify", str(deep), "config file nests too deeply"),
     ):
@@ -1238,6 +1240,20 @@ def test_sweep_rejects_a_huge_axis_before_allocating(capsys):
     assert len(cli._axis("--hbar-axis", 1.0, 2.0, 1e6)) == 10**6
     with pytest.raises(cli.ConfigError, match="^--hbar-axis needs lo <= hi and 1 to 1000000 "):
         cli._axis("--hbar-axis", 1.0, 2.0, 1e6 + 1)
+    # two axes within their bound, but a grid past it, is refused before its first cell
+    axes = ["--hbar-axis", "0.5", "4", "1001", "--ratio-axis", "1", "40", "1000"]
+    assert cli.main(["sweep", *axes]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --hbar-axis x --ratio-axis is 1001 x 1000 = "
+                                   "1001000 cells, more than the 1000000 a sweep may hold\n")
+
+
+def test_sweep_grid_is_bounded_by_the_axis_bound(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_POINTS", 20)
+    assert cli.main(["sweep", "--hbar-axis", "1", "2", "4", "--ratio-axis", "1", "2", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 4 * 5
+    assert cli.main(["sweep", "--hbar-axis", "1", "2", "5", "--ratio-axis", "1", "2", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --hbar-axis x --ratio-axis is 5 x 5 = 25 cells, "
+                                   "more than the 20 a sweep may hold\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1368,6 +1384,34 @@ def test_graph_file_comments_and_errors(tmp_path):
     bad.write_text("2\n1 2 0.5\n2 1 5.0\n", encoding="utf-8")
     g = cli.read_graph_file(bad)
     assert (g.weights[0, 1], g.weights[1, 0]) == (0.5, 5.0)
+
+
+def test_graph_file_pool_is_bounded_from_each_header(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "_MAX_ENTRIES", 100)
+    built, from_edges = [], cli.WeightedDigraph.from_edges
+    monkeypatch.setattr(cli.WeightedDigraph, "from_edges",
+                        lambda n, *rest: built.append(n) or from_edges(n, *rest))
+    (tmp_path / "ten.graph").write_text("10\n", encoding="utf-8")
+    assert cli.read_graph_file(tmp_path / "ten.graph").n == 10 and built == [10]
+    (tmp_path / "eleven.graph").write_text("11\n1 2 1.0\n", encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match=re.escape(
+            f"{tmp_path / 'eleven.graph'}, line 1: header '11' brings the pool to 121 weights, "
+            "more than the 100 a pool may hold")):
+        cli.read_graph_file(tmp_path / "eleven.graph")
+    assert built == [10]
+    # a pool counts every file: the second of two 8-node graphs is refused
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.graph").write_text("# ring\n8 symmetric\n", encoding="utf-8")
+    path = write_yaml(tmp_path / "cfg.yaml",
+                      sim_config_dict(topology={"graphs": ["a.graph", "b.graph"]}))
+    for command in (["certify"], ["simulate", "--out", str(tmp_path / "out")]):
+        built.clear()
+        assert cli.main([*command, "--config", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'b.graph'}, line 2: header '8 symmetric' brings the pool to "
+            "128 weights, more than the 100 a pool may hold\n")
+        assert built == [8]
+    assert not (tmp_path / "out").exists()
 
 
 def test_graph_file_with_a_byte_order_mark_reads_like_one_without(tmp_path):

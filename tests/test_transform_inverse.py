@@ -4,12 +4,13 @@ A design is its own record: its inverse is the one ``GainDesign`` forms to
 derive K.  A raw T is inverted once, by the T check of
 ``certify._gain_pair``.  Every consumer (the certificates,
 ``network_contraction`` and ``sim.run``) takes the checked record and
-inverts nothing.  ``simulate`` is two requests for a raw T: the CLI checks
-the config's gain, and ``SimulationConfig`` applies the rule to its own
-arguments.
+inverts nothing.  Both commands apply the rule once, while they load the
+config: ``certify --config`` certifies that record, and ``simulate`` hands
+it to ``SimulationConfig``, whose rule passes a built record through.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -116,13 +117,22 @@ def test_certify_config_inverts_a_raw_t_once(inversions, tmp_path, capsys):
     assert len(inversions) == 1
 
 
-def test_simulate_inverts_a_raw_t_twice(inversions, tmp_path, capsys):
+def test_simulate_inverts_a_raw_t_once(inversions, tmp_path, capsys):
     path = raw_gain_config(tmp_path)
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     capsys.readouterr()
-    # once by the early check of the config, once by SimulationConfig, a
-    # public constructor that applies the gain rule to its own arguments
-    assert len(inversions) == 2
+    assert len(inversions) == 1
+
+
+def test_a_config_keeps_the_record_it_is_given(example1_design):
+    plant = PlantModel.double_integrator()
+    record = certify._gain_pair(plant, gain=example1_design.K, transform=example1_design.T)
+    cfg = SimulationConfig(
+        n_agents=5, plant=plant, hbar=3.0, steps=20, runs=2, seed=7,
+        topology=TopologyRecipe(0.3, 6.0, pool_size=2), gain=record,
+    )
+    assert cfg.gain_pair is record
+    assert dataclasses.replace(cfg, runs=1).gain_pair is record
 
 
 def test_a_design_is_its_own_record(example1_design):
