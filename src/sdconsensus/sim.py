@@ -16,11 +16,12 @@ Y = X - x_0 (differences to agent 0) and forms the coupling W Y - deg Y,
 one product per group and one degree pass for all runs, into reused
 buffers; it is shift-invariant, so exact agreement gives an exactly zero
 coupling and stays exact.  ``step`` is the same kernel with one run.  A
-stepped block is copied once agents first, (n, steps + 1, runs, s), so the
-metrics reduce over agents along long rows.  The optional cross-check
+stepped block is copied once agents first, (n, runs, steps + 1, s), each
+state moved whole, so the metrics reduce over agents along long rows and
+each group's slab is contiguous per agent.  The optional cross-check
 applies I kron F - L kron G K as X F^T - (L X)(G K)^T with the dense
-Laplacian L, since (L kron I_s) x = L X, to every step of a group's block
-at once.
+Laplacian L, since (L kron I_s) x = L X, to every step of a group's slab
+at once, as ``step_kronecker`` does to one state.
 
 Every trajectory records the disagreement metric and the transformed reduced
 norm, whose strict decrease is the certified contraction at work.  The norm
@@ -60,10 +61,10 @@ DEFAULT_INIT_BOUNDS = ((-10.0, 10.0), (-1.0, 1.0))
 H_MIN_FRACTION = 1e-3
 # a segment advances in blocks of at most this many state entries (8 MB) for
 # all runs at once.  Beside the block (measured with tracemalloc): stepping
-# holds its agents-first copy and three state-sized buffers, nu two
-# block-sized arrays, and a verified block's check three arrays the size of
-# its steps (2.5 blocks at 5 steps a block) when all its runs share one
-# topology, less with more groups
+# holds its runs-major copy and three state-sized buffers, nu two
+# block-sized arrays, and a verified block's check L X the size of the block
+# and one array the size of its steps (1.8 blocks at 5 steps a block) when
+# all its runs share one topology, less with more groups
 _BLOCK_ENTRIES = 1 << 20
 # a random pool holds pool_size dense n_agents x n_agents weight matrices,
 # and a batch its per-run arrays (``SimulationConfig`` counts them): either
@@ -231,26 +232,26 @@ class BatchResult:
     timings: dict
 
 
-def _advance(X, out, coupling, Ft, GKt):
+def _advance(X, out, Xt, outt, coupling, Ft, GKt):
     """Write one exact step of the runs ``X``, held agent-major as (n, runs, s),
-    to ``out``.
+    to ``out``; ``Xt`` and ``outt`` are their (runs, n, s) views.
 
-    ``coupling`` is the segment's (Y, C, D, groups) from ``_coupling``, and
-    ``Ft`` and ``GKt`` (runs, s, s) are each run's F(h)^T and (G(h) K)^T.
+    ``coupling`` is the segment's (Y, C, D, groups, Yt, Ct) from ``_coupling``,
+    and ``Ft`` and ``GKt`` (runs, s, s) are each run's F(h)^T and (G(h) K)^T.
     The coupling sum_j w_ij (x_j - x_i) is W Y - deg Y on the differences
     Y = X - x_0: one product W Yg per group, then one pass over all runs with
     the degrees D; a zero Y gives an exactly zero coupling.  The step is
-    X F^T + C (G K)^T.
+    X F^T + C (G K)^T, its products on the (runs, n, s) views.
     """
-    Y, C, D, groups = coupling
+    Y, C, D, groups, Yt, Ct = coupling
     np.subtract(X, X[:1], out=Y)
     for W, Yg, Cg in groups:
         np.matmul(W, Yg, out=Cg)
     Y *= D
     C -= Y
-    np.matmul(X.swapaxes(0, 1), Ft, out=out.swapaxes(0, 1))
+    np.matmul(Xt, Ft, out=outt)
     # Y is free again and takes C (G K)^T in the agent-major order of out
-    np.matmul(C.swapaxes(0, 1), GKt, out=Y.swapaxes(0, 1))
+    np.matmul(Ct, GKt, out=Yt)
     out += Y
 
 
@@ -259,8 +260,9 @@ def _coupling(graphs, degrees, slices, shape):
     whose runs a:b follow ``graphs[g]``, for each (g, a, b) of ``slices``.
 
     Y and C are state-sized buffers, D holds each entry's degree (the row
-    sums ``degrees[g]`` of its graph), and groups lists (W, Yg, Cg) with Yg
-    and Cg the (n, (b - a) s) views of Y and C.
+    sums ``degrees[g]`` of its graph), groups lists (W, Yg, Cg) with Yg and
+    Cg the (n, (b - a) s) views of Y and C, and Yt and Ct are the
+    (runs, n, s) views of Y and C, made once for all steps.
     """
     n = shape[0]
     Y, C, D = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -268,23 +270,26 @@ def _coupling(graphs, degrees, slices, shape):
     for g, a, b in slices:
         D[:, a:b] = degrees[g][:, None, None]
         groups.append((graphs[g].weights, Y[:, a:b].reshape(n, -1), C[:, a:b].reshape(n, -1)))
-    return Y, C, D, groups
+    return Y, C, D, groups, Y.swapaxes(0, 1), C.swapaxes(0, 1)
 
 
 def _step_block(X, coupling, F, GK) -> np.ndarray:
     """All states of the runs ``X`` (n, runs, s) over the steps of ``F`` and
-    ``GK`` (steps, runs, s, s), agents first: (n, steps + 1, runs, s).
+    ``GK`` (steps, runs, s, s), agents first: (n, runs, steps + 1, s).
 
     The steps fill a (steps + 1, n, runs, s) block, so every step reads and
-    writes contiguous states; one copy then turns it agents first, so that
-    the checks and metrics reduce over agents along long rows.
+    writes contiguous states; one copy then moves each state of s components
+    as one item into the agents-first order, so that the checks and metrics
+    reduce over agents along long rows and every run's states are contiguous.
     """
     Ft, GKt = _transposed(F), _transposed(GK)
     seg = np.empty((len(F) + 1,) + X.shape)
     seg[0] = X
+    segt = seg.swapaxes(1, 2)
     for j in range(len(F)):
-        _advance(seg[j], seg[j + 1], coupling, Ft[j], GKt[j])
-    return np.ascontiguousarray(np.moveaxis(seg, 1, 0))
+        _advance(seg[j], seg[j + 1], segt[j], segt[j + 1], coupling, Ft[j], GKt[j])
+    state = np.dtype((np.void, seg.strides[-2]))  # the s components of one state
+    return np.ascontiguousarray(seg.view(state).transpose(1, 2, 0, 3)).view(float)
 
 
 def _transposed(M) -> np.ndarray:
@@ -293,27 +298,30 @@ def _transposed(M) -> np.ndarray:
 
 
 def _advance_kronecker(X, L, F, GK):
-    """The step of ``_advance`` as (I kron F - L kron G K) on each stacked state.
+    """The step of ``_advance`` as (I kron F - L kron G K) on agents-first states.
 
-    ``X`` is (..., n, s) and ``L`` the dense n x n Laplacian; the leading
-    axes of ``X``, ``F`` and ``GK`` (..., s, s) broadcast.  Since
-    (L kron I_s) x = L X and L kron G K = (I kron G K)(L kron I_s), the step
-    is X F^T - (L X)(G K)^T.  L X is one matrix product over every agent
-    column of X, not one per leading index.
+    ``X`` is (n, ..., k, s) and ``L`` the dense n x n Laplacian; ``F`` and
+    ``GK`` (..., m, s, s) step the first m <= k states, their leading axes
+    broadcasting with those of ``X``.  Since (L kron I_s) x = L X and
+    L kron G K = (I kron G K)(L kron I_s), the step is X F^T - (L X)(G K)^T,
+    in the layout of ``X``.  L X is one matrix product over all k states,
+    with no copy when ``X`` is contiguous per agent.
     """
-    cols = np.moveaxis(X, -2, 0)
-    LX = np.moveaxis((L @ cols.reshape(len(L), -1)).reshape(cols.shape), 0, -2)
-    out = X @ _transposed(F)
-    out -= LX @ _transposed(GK)
-    return out
+    m = F.shape[-3]
+    LX = (L @ X.reshape(len(L), -1)).reshape(X.shape)[..., :m, :]
+    out = np.empty(LX.shape)
+    Xs, LXs, outs = (np.moveaxis(A, 0, -2) for A in (X[..., :m, :], LX, out))
+    np.matmul(LXs, _transposed(GK), out=outs)
+    # LX is free again and takes X F^T
+    np.matmul(Xs, _transposed(F), out=LXs)
+    return np.subtract(LX, out, out=out)
 
 
-def _step_form_gaps(seg, L, F, GK) -> np.ndarray:
-    """Per run, the largest gap between the steps of the agents-first block
-    ``seg`` (n, steps + 1, runs, s) and the Kronecker form."""
-    block = np.moveaxis(seg, 0, -2)
-    gaps = _advance_kronecker(block[:-1], L, F, GK)
-    gaps -= block[1:]
+def _step_form_gaps(block, L, F, GK) -> np.ndarray:
+    """Per run, the largest gap between the steps of ``block``
+    (n, runs, steps + 1, s) and their Kronecker form by ``F`` and ``GK``."""
+    gaps = _advance_kronecker(block, L, F.swapaxes(0, 1), GK.swapaxes(0, 1))
+    gaps -= block[:, :, 1:]
     return np.abs(gaps, out=gaps).max(axis=(0, 2, 3))
 
 
@@ -371,11 +379,12 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     agreement (all rows of ``state`` equal) is preserved exactly.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    X = X[:, None]
     out = np.empty_like(X)
-    coupling = _coupling([g], [g.weights.sum(axis=1)], [(0, 0, 1)], X.shape)
-    _advance(X, out, coupling, _transposed(F), _transposed(GK))
-    return out[:, 0]
+    coupling = _coupling([g], [g.weights.sum(axis=1)], [(0, 0, 1)], (len(X), 1, X.shape[1]))
+    # one run's agent-major (n, 1, s) states are their own (1, n, s) transpose
+    _advance(X[:, None], out[:, None], X[None], out[None], coupling,
+             _transposed(F), _transposed(GK))
+    return out
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
@@ -384,7 +393,7 @@ def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     Cross-check path for ``step``; the two agree to rounding.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    return _advance_kronecker(X[None], laplacian(g), F, GK)[0]
+    return _advance_kronecker(X[:, None], laplacian(g), F, GK)[:, 0]
 
 
 def sample_interval(rng: np.random.Generator, h_min: float, hbar: float) -> float:
@@ -528,17 +537,17 @@ def run(config: SimulationConfig, force: bool = False) -> BatchResult:
             GK = G @ config.gain_pair.K
             # every run advances in one block; its first state is the one at
             # `start`, so the metrics cover k = 0 too
-            seg = _step_block(X[:, order], _coupling(pool, degrees, slices, X.shape), F, GK)
-            X[:, order] = seg[:, -1]
+            block = _step_block(X[:, order], _coupling(pool, degrees, slices, X.shape), F, GK)
+            X[:, order] = block[:, :, -1]
             if laplacians is not None:
                 for g, a, b in slices:
-                    gaps = _step_form_gaps(seg[:, :, a:b], laplacians[g], F[:, a:b], GK[:, a:b])
+                    gaps = _step_form_gaps(block[:, a:b], laplacians[g], F[:, a:b], GK[:, a:b])
                     gap[order[a:b]] = np.maximum(gap[order[a:b]], gaps)
-            delta[order, start:stop + 1] = _disagreements(seg).T
-            nu[order, start:stop + 1] = _reduced_norms(seg, config.gain_pair.Tinv).T
+            delta[order, start:stop + 1] = _disagreements(block)
+            nu[order, start:stop + 1] = _reduced_norms(block, config.gain_pair.Tinv)
             if states is not None:
-                states[order, start:stop + 1] = seg.transpose(2, 1, 0, 3)
-            del seg  # not alive while the next block is stepped
+                states[order, start:stop + 1] = block.transpose(1, 2, 0, 3)
+            del block  # not alive while the next block is stepped
     records = [
         TrajectoryRecord(
             r, t[r], h[r], topology[r], delta[r], nu[r],

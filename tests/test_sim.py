@@ -115,24 +115,25 @@ def test_step_forms_agree(di_plant, example1_design):
 
 
 def test_advance_kronecker_steps_a_block_at_once():
-    # a (steps, runs, n, s) block with its own F and G K per (step, run) gives,
-    # item by item, the assembled (I kron F - L kron G K) x; distinct sizes and
-    # a directed graph (L not symmetric) make a mixed-up axis show
+    # an agents-first (n, runs, steps + 1, s) block with its own F and G K per
+    # (run, step) gives, item by item, the assembled (I kron F - L kron G K) x
+    # of every state but the last; distinct sizes and a directed graph (L not
+    # symmetric) make a mixed-up axis show
     rng = np.random.default_rng(5)
     steps, runs, n = 3, 4, 6
     w = rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < 0.5)
     np.fill_diagonal(w, 0.0)
     L = laplacian(WeightedDigraph(w))
     for s in (1, 2, 3):
-        X = rng.uniform(-5.0, 5.0, (steps, runs, n, s))
-        F = rng.uniform(-1.0, 1.0, (steps, runs, s, s))
-        GK = rng.uniform(-1.0, 1.0, (steps, runs, s, s))
+        X = rng.uniform(-5.0, 5.0, (n, runs, steps + 1, s))
+        F = rng.uniform(-1.0, 1.0, (runs, steps, s, s))
+        GK = rng.uniform(-1.0, 1.0, (runs, steps, s, s))
         got = sim._advance_kronecker(X, L, F, GK)
-        assert got.shape == X.shape
-        for k, r in itertools.product(range(steps), range(runs)):
-            phi = np.kron(np.eye(n), F[k, r]) - np.kron(L, GK[k, r])
-            want = (phi @ X[k, r].reshape(-1)).reshape(n, s)
-            np.testing.assert_allclose(got[k, r], want, rtol=0.0, atol=1e-12)
+        assert got.shape == (n, runs, steps, s)
+        for r, k in itertools.product(range(runs), range(steps)):
+            phi = np.kron(np.eye(n), F[r, k]) - np.kron(L, GK[r, k])
+            want = (phi @ X[:, r, k].reshape(-1)).reshape(n, s)
+            np.testing.assert_allclose(got[:, r, k], want, rtol=0.0, atol=1e-12)
 
 
 def test_step_permutation_equivariance(di_plant, example1_design):
@@ -526,6 +527,29 @@ def test_run_verify_step_forms_checks_the_last_step_of_a_segment(monkeypatch, ex
         assert rec.step_form_gap > 1e-12
 
 
+@pytest.mark.parametrize("wrong", range(8))
+def test_run_verify_step_forms_puts_a_wrong_step_on_its_run(monkeypatch, example1_design, wrong):
+    # several groups share each segment and their runs are sorted out of run
+    # order: a step off by 1e-9 in one run shows in that run's gap only
+    cfg = small_config(design=example1_design, runs=8, switch_period=7, verify_step_forms=True)
+    h = run(cfg).records[wrong].h
+    exact = sim._advance
+
+    def advance(X, out, Xt, outt, coupling, Ft, GKt):
+        exact(X, out, Xt, outt, coupling, Ft, GKt)
+        # the double integrator's F(h)^T holds h at [1, 0]: it finds the run
+        mine = np.isin(Ft[:, 1, 0], h)
+        assert np.count_nonzero(mine) == 1
+        out[:, mine] += 1e-9
+
+    monkeypatch.setattr(sim, "_advance", advance)
+    records = run(cfg).records
+    topology = np.array([rec.topology for rec in records])
+    assert all(len(set(topology[:, k])) > 1 for k in range(0, cfg.steps, cfg.switch_period))
+    for rec in records:
+        assert (rec.step_form_gap > 1e-12) == (rec.run_id == wrong)
+
+
 def test_run_long_segment_in_blocks_gives_the_same_records(monkeypatch, example1_design):
     # a segment longer than one block advances in several; records stay the same
     cfg = small_config(
@@ -678,6 +702,14 @@ def _reference_run(config, pool, K, T):
 
 
 def _oracle_config(case, example1_design):
+    if case == "three-state-verified":
+        # 24-byte states, several groups per segment, runs out of run order
+        A = np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.5], [0.0, 0.0, -1.0]])
+        return small_config(
+            plant=PlantModel.general(A, [[0.0], [0.0], [1.0]]), gain=np.array([[0.1, 0.1, 0.3]]),
+            hbar=0.5, init_bounds=((-1.0, 1.0),) * 3, runs=8, switch_period=7,
+            record_states=True, verify_step_forms=True,
+        )
     if case == "single-integrator-verified":
         return SimulationConfig(
             n_agents=4,
@@ -716,6 +748,7 @@ def _oracle_config(case, example1_design):
         "recorded-states",
         "interleaved-groups",
         "single-integrator-verified",
+        "three-state-verified",
     ],
 )
 def test_run_matches_step_by_step_reference(case, example1_design):
