@@ -180,11 +180,10 @@ def reduction_basis(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("reduction basis needs n >= 2")
-    m = np.zeros((n, n - 1))
-    for j in range(1, n):
-        scale = 1.0 / math.sqrt(j * (j + 1))
-        m[:j, j - 1] = scale
-        m[j, j - 1] = -j * scale
+    j = np.arange(1, n)
+    scale = 1.0 / np.sqrt(j * (j + 1.0))
+    m = np.where(np.arange(n)[:, None] < j, scale, 0.0)
+    m[j, j - 1] = -j * scale
     m.setflags(write=False)
     return m
 

@@ -15,13 +15,14 @@ fill one block of states, one kernel call per step.  A step takes
 Y = X - x_0 (differences to agent 0) and forms the coupling W Y - deg Y,
 one product per group and one degree pass for all runs, into reused
 buffers; it is shift-invariant, so exact agreement gives an exactly zero
-coupling and stays exact.  ``step`` is the same kernel with one run.  A
-stepped block is copied once agents first, (n, runs, steps + 1, s), each
-state moved whole, so the metrics reduce over agents along long rows and
-each group's slab is contiguous per agent.  The optional cross-check
-applies I kron F - L kron G K as X F^T - (L X)(G K)^T with the dense
-Laplacian L, since (L kron I_s) x = L X, to every step of a group's slab
-at once, as ``step_kronecker`` does to one state.
+coupling and stays exact.  ``step`` is one step of that block kernel for
+one run.  A stepped block is copied once agents first,
+(n, runs, steps + 1, s), each state moved whole, so the metrics reduce
+over agents along long rows and each group's slab is contiguous per
+agent.  The optional cross-check applies I kron F - L kron G K as
+X F^T - (L X)(G K)^T with the dense Laplacian L, since (L kron I_s) x =
+L X, to every step of a group's slab at once, as ``step_kronecker`` does
+to one state.
 
 Every trajectory records the disagreement metric and the transformed reduced
 norm, whose strict decrease is the certified contraction at work.  The norm
@@ -379,12 +380,8 @@ def step(state, g: WeightedDigraph, K, h: float, plant: PlantModel):
     agreement (all rows of ``state`` equal) is preserved exactly.
     """
     X, F, GK = _one_run(state, g, K, h, plant)
-    out = np.empty_like(X)
     coupling = _coupling([g], [g.weights.sum(axis=1)], [(0, 0, 1)], (len(X), 1, X.shape[1]))
-    # one run's agent-major (n, 1, s) states are their own (1, n, s) transpose
-    _advance(X[:, None], out[:, None], X[None], out[None], coupling,
-             _transposed(F), _transposed(GK))
-    return out
+    return _step_block(X[:, None], coupling, F[None], GK[None])[:, 0, 1]
 
 
 def step_kronecker(state, g: WeightedDigraph, K, h: float, plant: PlantModel):

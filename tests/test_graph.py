@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -265,6 +266,18 @@ def test_reduction_basis_invariants(n):
     mbar = reduction_basis(n)
     np.testing.assert_allclose(mbar.T @ mbar, np.eye(n - 1), rtol=0.0, atol=1e-12)
     assert np.abs(mbar.T @ np.ones(n)).max() < 1e-12
+
+
+def test_reduction_basis_equals_column_loop():
+    # the one-expression basis has the bits of the Helmert columns built one
+    # at a time
+    for n in range(2, 301):
+        want = np.zeros((n, n - 1))
+        for j in range(1, n):
+            scale = 1.0 / math.sqrt(j * (j + 1))
+            want[:j, j - 1] = scale
+            want[j, j - 1] = -j * scale
+        assert np.array_equal(reduction_basis(n), want)
 
 
 def test_reduction_basis_rejects_single_node():

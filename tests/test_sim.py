@@ -776,6 +776,24 @@ def test_run_matches_step_by_step_reference(case, example1_design):
             assert np.isnan(rec.step_form_gap)
 
 
+@pytest.mark.parametrize("plant_and_gain", ["example1-design", "three-state-raw-gain"])
+def test_step_is_one_step_of_run(plant_and_gain, example1_design):
+    # step is the one-run case of run's block kernel, bit for bit
+    if plant_and_gain == "example1-design":
+        plant, K = PlantModel.double_integrator(), example1_design.K
+        setup = dict(design=example1_design)
+    else:
+        A = np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.5], [0.0, 0.0, -1.0]])
+        plant, K = PlantModel.general(A, [[0.0], [0.0], [1.0]]), np.array([[0.1, 0.1, 0.3]])
+        setup = dict(gain=K, hbar=0.5, init_bounds=((-1.0, 1.0),) * 3)
+    cfg = small_config(plant=plant, steps=1, runs=1, record_states=True, switch_period=None,
+                       topology=[complete_graph(5)], **setup)
+    result = run(cfg)
+    (rec,) = result.records
+    assert result.certificate.verdict == "certified"
+    assert np.array_equal(step(rec.states[0], result.pool[0], K, rec.h[0], plant), rec.states[1])
+
+
 def test_run_example2_regime_smoke(example2_design):
     cfg = SimulationConfig(
         n_agents=100,
